@@ -85,8 +85,10 @@ let bind_listener ~socket ~listen =
     let path = Option.value ~default:(Vrp_server.Client.default_address ()) socket in
     (Server.listen_unix path, path, fun () -> try Unix.unlink path with _ -> ())
 
+(* The handler may interrupt a thread holding the accept loop's lock,
+   which [stop] takes; a fresh thread takes it without that risk. *)
 let install_signals stop =
-  let stop_signal _ = stop () in
+  let stop_signal _ = ignore (Thread.create stop ()) in
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop_signal);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_signal);
   (* A client vanishing mid-response must not kill the daemon. *)

@@ -158,9 +158,10 @@ let counters t =
         quarantined = t.c.quarantined;
       })
 
-(* Registry mirrors of the cache counters: same increment sites as the
-   per-cache record, so the Prometheus exposition and [counters_line] can
-   never disagree. *)
+(* Process-wide cache totals, bumped at the same sites as the per-cache
+   record but a different fact: they sum over every cache the process
+   opens, including per-session caches that come and go, while the record
+   serves request-scoped [delta]s and batch report lines. *)
 let obs_hits =
   Vrp_obs.Metrics.counter ~help:"Summary cache hits (memory or disk)"
     "vrp_cache_hits_total"
@@ -417,11 +418,6 @@ let replay_diags (res : Engine.t) report =
     if res.Engine.fuel_exhausted then
       Diag.add r ~fn Diag.Warning Diag.Budget_exhausted
         (Printf.sprintf "fuel exhausted after %d steps (cached summary); results are partial"
-           res.Engine.fuel_spent);
-    if res.Engine.timed_out then
-      Diag.add r ~fn Diag.Warning Diag.Timeout
-        (Printf.sprintf "wall-clock limit hit after %d steps (cached summary); results are \
-                         partial"
            res.Engine.fuel_spent);
     if res.Engine.widenings > 0 then
       Diag.add r ~fn Diag.Warning Diag.Widened

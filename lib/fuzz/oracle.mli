@@ -24,9 +24,9 @@
     Membership-style oracles (range / bounds / prediction) are only armed
     when the static results are trustworthy end to end: the
     interprocedural driver converged, no function was demoted, and no
-    analysis exhausted fuel or timed out. Otherwise the documented
-    contracts already waive the claims, so checking them would only
-    produce false positives. The constant oracle is unconditional (SCCP is
+    analysis exhausted fuel. Otherwise the documented contracts already
+    waive the claims, so checking them would only produce false
+    positives. The constant oracle is unconditional (SCCP is
     intraprocedural and treats parameters and loads as ⊥).
 
     Runtime traps (division by zero, out-of-bounds access, step budget)

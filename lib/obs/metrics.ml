@@ -12,7 +12,7 @@
      [Atomic.t] cell (created lazily through [Domain.DLS]); [value] sums the
      shards. Increments are never lost across domains and uncontended
      fetch-and-add on a domain-private cache line is a few nanoseconds.
-   - gauges are a single atomic float (set/add via CAS).
+   - gauges are a single atomic float.
    - histograms keep one atomic count per bucket plus an atomic float sum;
      observation is a bounded linear scan over the (small) bucket array and
      two atomic updates.
@@ -92,8 +92,10 @@ let kind_name = function
   | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
+let sort_labels labels = List.sort (fun (a, _) (b, _) -> compare a b) labels
+
 let find_or_create registry ~name ~help ~labels make check =
-  let labels = List.sort (fun (a, _) (b, _) -> compare a b) labels in
+  let labels = sort_labels labels in
   locked registry.lock (fun () ->
       match
         List.find_opt (fun e -> e.name = name && e.labels = labels)
@@ -143,9 +145,6 @@ let set g v = Atomic.set g.g_value v
 let rec atomic_add_float a v =
   let cur = Atomic.get a in
   if not (Atomic.compare_and_set a cur (cur +. v)) then atomic_add_float a v
-
-let add g v = atomic_add_float g.g_value v
-let gauge_value g = Atomic.get g.g_value
 
 let observe h v =
   let n = Array.length h.h_bounds in
@@ -222,58 +221,101 @@ let render_labels = function
 let render_labels_le labels le =
   render_labels (labels @ [ ("le", le) ])
 
-let render ?(registry = default) () =
+(* What one series renders: a registry cell read at render time, or a
+   caller's sample. A stateful instance stores its counters once, in its
+   own record, and hands the exposition a snapshot of them as samples
+   instead of mirroring each bump into a registry cell. *)
+type reading =
+  | Count of int
+  | Level of float
+  | Buckets of float array * int array * float  (* bounds, counts, sum *)
+
+type sample = {
+  s_name : string;
+  s_help : string;
+  s_labels : (string * string) list;  (* sorted by label name *)
+  s_reading : reading;
+}
+
+let sample reading ?(help = "") ?(labels = []) name =
+  {
+    s_name = name;
+    s_help = help;
+    s_labels = sort_labels labels;
+    s_reading = reading;
+  }
+
+let counter_sample ?help ?labels name n = sample (Count n) ?help ?labels name
+let gauge_sample ?help ?labels name v = sample (Level v) ?help ?labels name
+
+let read_entry e =
+  let reading =
+    match e.cell with
+    | Counter c -> Count (value c)
+    | Gauge g -> Level (Atomic.get g.g_value)
+    | Histogram h ->
+        (* Snapshot the per-bucket counts once so bucket/count lines are
+           mutually consistent even while writers are active. *)
+        Buckets (h.h_bounds, Array.map Atomic.get h.h_counts, Atomic.get h.h_sum)
+  in
+  { s_name = e.name; s_help = e.help; s_labels = e.labels; s_reading = reading }
+
+let reading_kind = function
+  | Count _ -> "counter"
+  | Level _ -> "gauge"
+  | Buckets _ -> "histogram"
+
+let render ?(registry = default) ?(samples = []) () =
   let entries = locked registry.lock (fun () -> registry.entries) in
-  let entries =
+  let all =
     List.sort
       (fun a b ->
-        match compare a.name b.name with 0 -> compare a.labels b.labels | c -> c)
-      entries
+        match compare a.s_name b.s_name with
+        | 0 -> compare a.s_labels b.s_labels
+        | c -> c)
+      (List.map read_entry entries @ samples)
   in
   let buf = Buffer.create 4096 in
   let last_name = ref "" in
   List.iter
-    (fun e ->
-      if e.name <> !last_name then begin
-        last_name := e.name;
-        if e.help <> "" then
+    (fun s ->
+      let name = s.s_name and labels = s.s_labels in
+      if name <> !last_name then begin
+        last_name := name;
+        if s.s_help <> "" then
           Buffer.add_string buf
-            (Printf.sprintf "# HELP %s %s\n" e.name (escape_help e.help));
+            (Printf.sprintf "# HELP %s %s\n" name (escape_help s.s_help));
         Buffer.add_string buf
-          (Printf.sprintf "# TYPE %s %s\n" e.name (kind_name e.cell))
+          (Printf.sprintf "# TYPE %s %s\n" name (reading_kind s.s_reading))
       end;
-      match e.cell with
-      | Counter c ->
+      match s.s_reading with
+      | Count n ->
           Buffer.add_string buf
-            (Printf.sprintf "%s%s %d\n" e.name (render_labels e.labels)
-               (value c))
-      | Gauge g ->
+            (Printf.sprintf "%s%s %d\n" name (render_labels labels) n)
+      | Level v ->
           Buffer.add_string buf
-            (Printf.sprintf "%s%s %s\n" e.name (render_labels e.labels)
-               (format_float (Atomic.get g.g_value)))
-      | Histogram h ->
-          (* Cumulative buckets, then +Inf, _sum and _count. Snapshot the
-             per-bucket counts once so bucket/count lines are mutually
-             consistent even while writers are active. *)
-          let counts = Array.map Atomic.get h.h_counts in
+            (Printf.sprintf "%s%s %s\n" name (render_labels labels)
+               (format_float v))
+      | Buckets (bounds, counts, sum) ->
+          (* Cumulative buckets, then +Inf, _sum and _count. *)
           let total = Array.fold_left ( + ) 0 counts in
           let acc = ref 0 in
           Array.iteri
             (fun i bound ->
               acc := !acc + counts.(i);
               Buffer.add_string buf
-                (Printf.sprintf "%s_bucket%s %d\n" e.name
-                   (render_labels_le e.labels (format_float bound))
+                (Printf.sprintf "%s_bucket%s %d\n" name
+                   (render_labels_le labels (format_float bound))
                    !acc))
-            h.h_bounds;
+            bounds;
           Buffer.add_string buf
-            (Printf.sprintf "%s_bucket%s %d\n" e.name
-               (render_labels_le e.labels "+Inf") total);
+            (Printf.sprintf "%s_bucket%s %d\n" name
+               (render_labels_le labels "+Inf") total);
           Buffer.add_string buf
-            (Printf.sprintf "%s_sum%s %s\n" e.name (render_labels e.labels)
-               (format_float (Atomic.get h.h_sum)));
+            (Printf.sprintf "%s_sum%s %s\n" name (render_labels labels)
+               (format_float sum));
           Buffer.add_string buf
-            (Printf.sprintf "%s_count%s %d\n" e.name (render_labels e.labels)
+            (Printf.sprintf "%s_count%s %d\n" name (render_labels labels)
                total))
-    entries;
+    all;
   Buffer.contents buf

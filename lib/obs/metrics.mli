@@ -17,16 +17,12 @@ type counter
 type gauge
 type histogram
 
-(** A metric namespace. Most callers use the implicit {!default}; tests
-    create private registries so assertions don't see process-wide
-    state. *)
+(** A metric namespace. Most callers use the implicit process-wide
+    registry (what [vrpd]'s [metrics] op renders); tests create private
+    registries so assertions don't see process-wide state. *)
 type registry
 
 val create : unit -> registry
-
-(** The process-wide registry every [?registry]-defaulted call targets —
-    what [vrpd]'s [metrics] op renders. *)
-val default : registry
 
 (** Find-or-create: the same (name, label set) always yields the same
     cell, so metric definitions can live at their use sites.
@@ -40,10 +36,9 @@ val gauge :
   ?registry:registry -> ?help:string -> ?labels:(string * string) list ->
   string -> gauge
 
-(** Default latency buckets (seconds), log-spaced 0.5ms..10s. *)
-val default_buckets : float list
-
-(** @raise Invalid_argument on empty or non-increasing [buckets]. *)
+(** [buckets] defaults to latency buckets (seconds), log-spaced
+    0.5ms..10s.
+    @raise Invalid_argument on empty or non-increasing [buckets]. *)
 val histogram :
   ?registry:registry -> ?help:string -> ?labels:(string * string) list ->
   ?buckets:float list -> string -> histogram
@@ -54,8 +49,6 @@ val inc : ?by:int -> counter -> unit
 val value : counter -> int
 
 val set : gauge -> float -> unit
-val add : gauge -> float -> unit
-val gauge_value : gauge -> float
 val observe : histogram -> float -> unit
 
 (** [time h f] runs [f], records its wall-clock duration (seconds) in [h]
@@ -71,9 +64,23 @@ val reset_counter : counter -> unit
 (** Zero every cell in the registry, keeping the registrations. *)
 val reset : ?registry:registry -> unit -> unit
 
-(** Prometheus text exposition: one [# HELP]/[# TYPE] block per metric
-    name, series sorted by (name, labels), label values escaped,
-    histograms rendered as cumulative [_bucket{le=...}] lines plus
-    [+Inf], [_sum] and [_count]. Pure read — rendering twice with no
-    writes in between yields identical text. *)
-val render : ?registry:registry -> unit -> string
+(** A value the caller stores itself, rendered beside the registry's
+    cells. A stateful instance (a daemon's admission gate, a supervisor)
+    keeps each counter once, in its own record, and passes a snapshot of
+    it to {!render} rather than mirroring every bump into a registry cell.
+    A sample's name must not also be registered in the rendered registry. *)
+type sample
+
+val counter_sample :
+  ?help:string -> ?labels:(string * string) list -> string -> int -> sample
+
+val gauge_sample :
+  ?help:string -> ?labels:(string * string) list -> string -> float -> sample
+
+(** Prometheus text exposition of the registry's cells plus [samples]:
+    one [# HELP]/[# TYPE] block per metric name, series sorted by
+    (name, labels), label values escaped, histograms rendered as
+    cumulative [_bucket{le=...}] lines plus [+Inf], [_sum] and [_count].
+    Pure read — rendering twice with no writes in between yields
+    identical text. *)
+val render : ?registry:registry -> ?samples:sample list -> unit -> string

@@ -21,25 +21,12 @@ val block_returns : ctx -> int -> bool
 (** [postdominates ctx a b]: does block [a] postdominate block [b]? *)
 val postdominates : ctx -> int -> int -> bool
 
-(** Wu–Larus hit rates. *)
-val lbh_prob : float
-
-val leh_prob : float
-val lhh_prob : float
-val ch_prob : float
-val oh_prob : float
-val gh_prob : float
-val sh_prob : float
-val rh_prob : float
-
-(** The individual heuristics (exposed for testing and ablation). *)
+(** The individual heuristics the tests exercise one by one. *)
 val loop_branch : ctx -> src:int -> Ir.branch -> float option
 
-val loop_exit : ctx -> src:int -> Ir.branch -> float option
 val loop_header : ctx -> src:int -> Ir.branch -> float option
 val call : ctx -> src:int -> Ir.branch -> float option
 val opcode : ctx -> src:int -> Ir.branch -> float option
-val guard : ctx -> src:int -> Ir.branch -> float option
 val store : ctx -> src:int -> Ir.branch -> float option
 val return : ctx -> src:int -> Ir.branch -> float option
 

@@ -25,14 +25,6 @@ type t = {
 
 let zero () = { evaluations = 0; sub_ops = 0; widenings = 0; fuel_exhaustions = 0 }
 
-let copy c =
-  {
-    evaluations = c.evaluations;
-    sub_ops = c.sub_ops;
-    widenings = c.widenings;
-    fuel_exhaustions = c.fuel_exhaustions;
-  }
-
 (* Process-wide totals live in the metrics registry as per-domain-sharded
    counters: every domain increments its own atomic shard and reads sum the
    shards, so — unlike the plain-mutable root frame these replaced — no
@@ -90,11 +82,3 @@ let record_widening () =
 let record_fuel_exhaustion () =
   Vrp_obs.Metrics.inc fuel_exhaustions_total;
   each (fun c -> c.fuel_exhaustions <- c.fuel_exhaustions + 1)
-
-(* --- Legacy root-frame interface (pre-frame callers) --- *)
-
-let reset () =
-  List.iter Vrp_obs.Metrics.reset_counter
-    [ evaluations_total; sub_ops_total; widenings_total; fuel_exhaustions_total ]
-
-let read () = Vrp_obs.Metrics.value sub_ops_total

@@ -12,9 +12,6 @@ type t = {
   mutable fuel_exhaustions : int;  (** engine runs that ran out of fuel *)
 }
 
-val zero : unit -> t
-val copy : t -> t
-
 (** Run [f] with a fresh counter frame; returns its result and the frame's
     totals. Exception-safe: the frame is popped even if [f] raises. *)
 val with_counters : (unit -> 'a) -> 'a * t
@@ -23,9 +20,3 @@ val tick : unit -> unit
 val record_evaluation : unit -> unit
 val record_widening : unit -> unit
 val record_fuel_exhaustion : unit -> unit
-
-(** Legacy root-frame interface: [reset] zeroes the always-open root frame,
-    [read] returns its sub-operation count. *)
-val reset : unit -> unit
-
-val read : unit -> int

@@ -39,22 +39,6 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Registry mirrors of the per-supervisor counters: process-wide totals the
-   metrics exposition scrapes. The per-[t] record stays authoritative for
-   [counters_line]; both are bumped at the same sites. *)
-let deadline_hits_total =
-  Vrp_obs.Metrics.counter ~help:"Supervised tasks cancelled by deadline"
-    "vrp_sched_deadline_hits_total"
-
-let retries_total =
-  Vrp_obs.Metrics.counter ~help:"Supervised task retries"
-    "vrp_sched_retries_total"
-
-let gave_up_total =
-  Vrp_obs.Metrics.counter
-    ~help:"Supervised tasks that exhausted their retry budget"
-    "vrp_sched_gave_up_total"
-
 (* The monitor never touches reports or results: it only flips cancellation
    flags and bumps counters, so all observable diagnostics are emitted from
    the worker that owns the task — no cross-domain races on reports. *)
@@ -66,8 +50,7 @@ let monitor_loop t () =
           (fun _ r ->
             if now > r.deadline && not (Diag.Cancel.cancelled r.token) then begin
               Diag.Cancel.cancel r.token;
-              t.c.deadline_hits <- t.c.deadline_hits + 1;
-              Vrp_obs.Metrics.inc deadline_hits_total
+              t.c.deadline_hits <- t.c.deadline_hits + 1
             end)
           t.registry);
     Unix.sleepf 0.002
@@ -112,19 +95,23 @@ let with_supervisor ?policy f =
 
 let policy t = t.policy
 
-let counters t =
-  locked t (fun () ->
-      {
-        deadline_hits = t.c.deadline_hits;
-        retry_count = t.c.retry_count;
-        gave_up = t.c.gave_up;
-      })
+let counters t = locked t (fun () -> { t.c with gave_up = t.c.gave_up })
 
-let counters_line t =
-  let c = counters t in
+let counters_line c =
   Printf.sprintf
     "supervision: %d deadline hit(s), %d retry(ies), %d task(s) gave up"
     c.deadline_hits c.retry_count c.gave_up
+
+let samples c =
+  let module M = Vrp_obs.Metrics in
+  [
+    M.counter_sample ~help:"Supervised tasks cancelled by deadline"
+      "vrp_sched_deadline_hits_total" c.deadline_hits;
+    M.counter_sample ~help:"Supervised task retries" "vrp_sched_retries_total"
+      c.retry_count;
+    M.counter_sample ~help:"Supervised tasks that exhausted their retry budget"
+      "vrp_sched_gave_up_total" c.gave_up;
+  ]
 
 let register t ?deadline_ms token =
   (* A per-call deadline overrides the policy's; callers that want the
@@ -167,7 +154,6 @@ let supervise t ~name ?deadline_ms ?report f =
       | _ -> ());
       if n < t.policy.retries then begin
         locked t (fun () -> t.c.retry_count <- t.c.retry_count + 1);
-        Vrp_obs.Metrics.inc retries_total;
         emit Diag.Info Diag.Task_retry
           (Printf.sprintf "retrying %s (attempt %d of %d)" name (n + 2)
              (t.policy.retries + 1));
@@ -177,7 +163,6 @@ let supervise t ~name ?deadline_ms ?report f =
       end
       else begin
         locked t (fun () -> t.c.gave_up <- t.c.gave_up + 1);
-        Vrp_obs.Metrics.inc gave_up_total;
         raise e
       end
   in

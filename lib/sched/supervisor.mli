@@ -57,11 +57,15 @@ val with_supervisor : ?policy:policy -> (t -> 'a) -> 'a
 
 val policy : t -> policy
 
-(** Snapshot of the supervision counters. *)
+(** Snapshot of the supervision counters. The [t] keeps their only copy. *)
 val counters : t -> counters
 
-(** Render the counters as one line, e.g. for [--diagnostics] output. *)
-val counters_line : t -> string
+(** Render a snapshot as one line, e.g. for [--diagnostics] output. *)
+val counters_line : counters -> string
+
+(** The same snapshot as Prometheus samples: [vrp_sched_deadline_hits_total],
+    [vrp_sched_retries_total] and [vrp_sched_gave_up_total]. *)
+val samples : counters -> Vrp_obs.Metrics.sample list
 
 (** [supervise t ~name f] runs [f token] under the policy: the token is
     registered with the monitor for deadline enforcement and carries the

@@ -12,7 +12,7 @@ type conn = {
 }
 
 type t = {
-  state_lock : Mutex.t;  (* connection registry *)
+  state_lock : Mutex.t;  (* connection registry, stop pipe ownership *)
   mutable stop_requested : bool;
   stop_rd : Unix.file_descr;
   stop_wr : Unix.file_descr;
@@ -37,12 +37,17 @@ let locked t f =
 
 let request_stop t = t.stop_requested <- true
 
+(* Under the lock, and never once closed: after [close] the pipe's fd
+   numbers belong to whatever the process opens next, and a late stop (a
+   fleet re-killing an already-dead in-process worker) would write its
+   byte into that stranger's socket. *)
 let stop t =
-  t.stop_requested <- true;
-  (* Wake the accept loop; EAGAIN on a full pipe is as good as a byte. *)
-  try ignore (Unix.write t.stop_wr (Bytes.of_string "x") 0 1) with _ -> ()
-
-let stopping t = t.stop_requested
+  locked t (fun () ->
+      if not t.closed then begin
+        t.stop_requested <- true;
+        (* Wake the accept loop; EAGAIN on a full pipe is as good as a byte. *)
+        try ignore (Unix.write t.stop_wr (Bytes.of_string "x") 0 1) with _ -> ()
+      end)
 
 let register_conn t fd =
   let c = { fd; read_started = 0. } in
@@ -217,8 +222,9 @@ let serve t ~handle ?(on_bad_request = fun _ -> ()) ?admit listen_fd =
   t.stop_requested <- false
 
 let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    (try Unix.close t.stop_rd with _ -> ());
-    try Unix.close t.stop_wr with _ -> ()
-  end
+  locked t (fun () ->
+      if not t.closed then begin
+        t.closed <- true;
+        (try Unix.close t.stop_rd with _ -> ());
+        try Unix.close t.stop_wr with _ -> ()
+      end)

@@ -44,12 +44,13 @@ val serve :
     a [shutdown] request stops the daemon while still acknowledging. *)
 val request_stop : t -> unit
 
-(** Ask {!serve} to return now. Safe from any thread or signal handler;
-    idempotent. *)
+(** Ask {!serve} to return now. Safe from any thread and idempotent; a
+    no-op once {!close}d, so a late stop never writes into an fd number
+    the process has since reused. Takes the state lock, so a signal
+    handler must hand it to another thread rather than call it (the
+    handler may interrupt a thread that holds the lock). *)
 val stop : t -> unit
 
-(** True once a stop was requested. *)
-val stopping : t -> bool
-
-(** Release the stop pipe. Call after the final {!serve}. Idempotent. *)
+(** Release the stop pipe. Call after the final {!serve}. Idempotent;
+    serialized with {!stop}. *)
 val close : t -> unit

@@ -24,55 +24,23 @@ type counters = {
   mutable shed_requests : int;
   mutable expired : int;
   mutable idle_closed : int;
+  mutable inflight : int;
   mutable peak_inflight : int;
+  mutable queued : int;
 }
 
 type t = {
   limits : limits;
   lock : Mutex.t;
   mutable n_conns : int;
-  mutable n_inflight : int;
-  mutable n_queued : int;
-  c : counters;
+  c : counters;  (* the only store of the admission counters *)
 }
-
-(* Registry mirrors, bumped at the same sites as the in-record counters so
-   the Prometheus exposition and [counters_line] always agree. *)
-let obs_admitted =
-  Vrp_obs.Metrics.counter ~help:"Requests admitted through the gate"
-    "vrpd_admission_admitted_total"
-
-let obs_shed_conns =
-  Vrp_obs.Metrics.counter ~help:"Connections shed at the accept gate"
-    "vrpd_admission_shed_conns_total"
-
-let obs_shed_requests =
-  Vrp_obs.Metrics.counter ~help:"Requests shed with a busy response"
-    "vrpd_admission_shed_requests_total"
-
-let obs_expired =
-  Vrp_obs.Metrics.counter ~help:"Requests shed because their deadline expired before dispatch"
-    "vrpd_admission_expired_total"
-
-let obs_idle_closed =
-  Vrp_obs.Metrics.counter ~help:"Idle connections closed by the sweeper"
-    "vrpd_admission_idle_closed_total"
-
-let obs_inflight =
-  Vrp_obs.Metrics.gauge ~help:"Requests currently holding an in-flight slot"
-    "vrpd_inflight"
-
-let obs_peak_inflight =
-  Vrp_obs.Metrics.gauge ~help:"Peak concurrent in-flight requests"
-    "vrpd_peak_inflight"
 
 let create ?(limits = default_limits) () =
   {
     limits;
     lock = Mutex.create ();
     n_conns = 0;
-    n_inflight = 0;
-    n_queued = 0;
     c =
       {
         admitted = 0;
@@ -80,7 +48,9 @@ let create ?(limits = default_limits) () =
         shed_requests = 0;
         expired = 0;
         idle_closed = 0;
+        inflight = 0;
         peak_inflight = 0;
+        queued = 0;
       };
   }
 
@@ -89,21 +59,7 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let limits t = t.limits
-
-let counters t =
-  locked t (fun () ->
-      {
-        admitted = t.c.admitted;
-        shed_conns = t.c.shed_conns;
-        shed_requests = t.c.shed_requests;
-        expired = t.c.expired;
-        idle_closed = t.c.idle_closed;
-        peak_inflight = t.c.peak_inflight;
-      })
-
-let inflight t = locked t (fun () -> t.n_inflight)
-let queued t = locked t (fun () -> t.n_queued)
-let conns t = locked t (fun () -> t.n_conns)
+let counters t = locked t (fun () -> { t.c with admitted = t.c.admitted })
 
 (* --- Connection slots --- *)
 
@@ -115,35 +71,27 @@ let try_conn t =
       end
       else begin
         t.c.shed_conns <- t.c.shed_conns + 1;
-        Vrp_obs.Metrics.inc obs_shed_conns;
         false
       end)
 
 let conn_closed t = locked t (fun () -> t.n_conns <- max 0 (t.n_conns - 1))
 let note_idle_closed t =
-  locked t (fun () ->
-      t.c.idle_closed <- t.c.idle_closed + 1;
-      Vrp_obs.Metrics.inc obs_idle_closed)
+  locked t (fun () -> t.c.idle_closed <- t.c.idle_closed + 1)
 
 (* --- Request slots --- *)
 
 (* The hint grows with queue depth so a deeper backlog spreads retries
    further apart; bounded so a shed client never waits out of proportion to
    the queue it would have stood in. *)
-let retry_after_locked t = min 1000 (25 * (1 + t.n_queued))
+let retry_after_locked t = min 1000 (25 * (1 + t.c.queued))
 let retry_after_ms t = locked t (fun () -> retry_after_locked t)
 
 type admission = Admitted | Shed of int | Expired
 
 let take_slot_locked t =
-  t.n_inflight <- t.n_inflight + 1;
+  t.c.inflight <- t.c.inflight + 1;
   t.c.admitted <- t.c.admitted + 1;
-  Vrp_obs.Metrics.inc obs_admitted;
-  Vrp_obs.Metrics.set obs_inflight (float_of_int t.n_inflight);
-  if t.n_inflight > t.c.peak_inflight then begin
-    t.c.peak_inflight <- t.n_inflight;
-    Vrp_obs.Metrics.set obs_peak_inflight (float_of_int t.c.peak_inflight)
-  end
+  t.c.peak_inflight <- max t.c.peak_inflight t.c.inflight
 
 (* OCaml's Condition has no timed wait, so queued requests poll for a slot
    at a 2ms period — coarse enough to cost nothing, fine enough that the
@@ -154,22 +102,20 @@ let admit t ?deadline () =
   if expired_at now then
     locked t (fun () ->
         t.c.expired <- t.c.expired + 1;
-        Vrp_obs.Metrics.inc obs_expired;
         Expired)
   else
     let verdict =
       locked t (fun () ->
-          if t.n_inflight < t.limits.max_inflight then begin
+          if t.c.inflight < t.limits.max_inflight then begin
             take_slot_locked t;
             `Admitted
           end
-          else if t.n_queued >= t.limits.max_queue then begin
+          else if t.c.queued >= t.limits.max_queue then begin
             t.c.shed_requests <- t.c.shed_requests + 1;
-            Vrp_obs.Metrics.inc obs_shed_requests;
             `Shed (retry_after_locked t)
           end
           else begin
-            t.n_queued <- t.n_queued + 1;
+            t.c.queued <- t.c.queued + 1;
             let give_up = now +. (float_of_int t.limits.queue_wait_ms /. 1000.) in
             `Wait (match deadline with Some d -> Float.min give_up d | None -> give_up)
           end)
@@ -183,21 +129,19 @@ let admit t ?deadline () =
         let now = Unix.gettimeofday () in
         match
           locked t (fun () ->
-              if t.n_inflight < t.limits.max_inflight then begin
-                t.n_queued <- t.n_queued - 1;
+              if t.c.inflight < t.limits.max_inflight then begin
+                t.c.queued <- t.c.queued - 1;
                 take_slot_locked t;
                 Some Admitted
               end
               else if now > give_up then begin
-                t.n_queued <- t.n_queued - 1;
+                t.c.queued <- t.c.queued - 1;
                 if expired_at now then begin
                   t.c.expired <- t.c.expired + 1;
-                  Vrp_obs.Metrics.inc obs_expired;
                   Some Expired
                 end
                 else begin
                   t.c.shed_requests <- t.c.shed_requests + 1;
-                  Vrp_obs.Metrics.inc obs_shed_requests;
                   Some (Shed (retry_after_locked t))
                 end
               end
@@ -208,15 +152,31 @@ let admit t ?deadline () =
       in
       wait ()
 
-let release t =
-  locked t (fun () ->
-      t.n_inflight <- max 0 (t.n_inflight - 1);
-      Vrp_obs.Metrics.set obs_inflight (float_of_int t.n_inflight))
+let release t = locked t (fun () -> t.c.inflight <- max 0 (t.c.inflight - 1))
 
-let counters_line t =
-  locked t (fun () ->
-      Printf.sprintf
-        "admission: %d inflight (peak %d), %d queued, %d shed (%d conns, %d requests), %d expired, %d idle-closed"
-        t.n_inflight t.c.peak_inflight t.n_queued
-        (t.c.shed_conns + t.c.shed_requests)
-        t.c.shed_conns t.c.shed_requests t.c.expired t.c.idle_closed)
+let counters_line c =
+  Printf.sprintf
+    "admission: %d inflight (peak %d), %d queued, %d shed (%d conns, %d requests), %d expired, %d idle-closed"
+    c.inflight c.peak_inflight c.queued
+    (c.shed_conns + c.shed_requests)
+    c.shed_conns c.shed_requests c.expired c.idle_closed
+
+let samples c =
+  let module M = Vrp_obs.Metrics in
+  [
+    M.counter_sample ~help:"Requests admitted through the gate"
+      "vrpd_admission_admitted_total" c.admitted;
+    M.counter_sample ~help:"Connections shed at the accept gate"
+      "vrpd_admission_shed_conns_total" c.shed_conns;
+    M.counter_sample ~help:"Requests shed with a busy response"
+      "vrpd_admission_shed_requests_total" c.shed_requests;
+    M.counter_sample
+      ~help:"Requests shed because their deadline expired before dispatch"
+      "vrpd_admission_expired_total" c.expired;
+    M.counter_sample ~help:"Idle connections closed by the sweeper"
+      "vrpd_admission_idle_closed_total" c.idle_closed;
+    M.gauge_sample ~help:"Requests currently holding an in-flight slot"
+      "vrpd_inflight" (float_of_int c.inflight);
+    M.gauge_sample ~help:"Peak concurrent in-flight requests"
+      "vrpd_peak_inflight" (float_of_int c.peak_inflight);
+  ]

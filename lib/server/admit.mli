@@ -41,13 +41,18 @@ type limits = {
     timeout. *)
 val default_limits : limits
 
+(** The admission counters and load gauges. A [t] keeps its only copy;
+    {!counters} hands out snapshots, from which the status lines and the
+    scrape are both rendered. *)
 type counters = {
   mutable admitted : int;  (** requests that took an in-flight slot *)
   mutable shed_conns : int;  (** connections refused at accept *)
   mutable shed_requests : int;  (** requests shed at the queue *)
   mutable expired : int;  (** requests shed because their deadline passed *)
   mutable idle_closed : int;  (** connections closed by the idle sweeper *)
+  mutable inflight : int;  (** requests holding an in-flight slot now *)
   mutable peak_inflight : int;
+  mutable queued : int;  (** requests waiting for a slot now *)
 }
 
 type t
@@ -57,10 +62,6 @@ val limits : t -> limits
 
 (** Snapshot of the counters (taken under the lock). *)
 val counters : t -> counters
-
-val inflight : t -> int
-val queued : t -> int
-val conns : t -> int
 
 (** Take a connection slot. [false] means the caller must shed: answer one
     busy frame and close. *)
@@ -92,4 +93,8 @@ val release : t -> unit
 
 (** One status line, e.g.
     [admission: 2 inflight (peak 4), 0 queued, 3 shed (2 conns, 1 requests), 1 expired, 2 idle-closed]. *)
-val counters_line : t -> string
+val counters_line : counters -> string
+
+(** The same snapshot as Prometheus samples: [vrpd_admission_*_total],
+    [vrpd_inflight] and [vrpd_peak_inflight]. *)
+val samples : counters -> Vrp_obs.Metrics.sample list

@@ -49,11 +49,11 @@ type counters = {
 
 (* --- Front-door observability ---
 
-   Registry mirrors of the fleet counters plus per-worker health gauges;
-   the front door answers the [metrics] op from its own registry (its
-   admission gate, proxy ladder and slot states live here, not in any
-   worker), and [fleet-status] sources its uptime/per-op lines from the
-   same cells. *)
+   The per-op request counters and latency histograms live in the process
+   registry; every counter the front door owns (fleet counters, slot
+   health, its admission gate and proxy ladder) is stored once, in its own
+   records, and reaches [fleet-status] and the [metrics] scrape through
+   {!snapshot}. *)
 
 let fleet_ops =
   [ "predict"; "analyze"; "compare"; "batch"; "status"; "evict"; "ping";
@@ -69,38 +69,6 @@ let obs_request_seconds op =
   Vrp_obs.Metrics.histogram
     ~help:"Fleet front-door request latency in seconds, by operation"
     ~labels:[ ("op", fleet_op_label op) ] "vrpd_fleet_request_seconds"
-
-let obs_served =
-  Vrp_obs.Metrics.counter ~help:"Fleet requests served"
-    "vrpd_fleet_served_total"
-
-let obs_contained =
-  Vrp_obs.Metrics.counter ~help:"Fleet requests contained"
-    "vrpd_fleet_contained_total"
-
-let obs_failovers =
-  Vrp_obs.Metrics.counter ~help:"Proxy retries that re-routed to another worker"
-    "vrpd_fleet_failovers_total"
-
-let obs_replaced =
-  Vrp_obs.Metrics.counter ~help:"Workers crash-replaced"
-    "vrpd_fleet_replaced_total"
-
-let obs_workers_healthy =
-  Vrp_obs.Metrics.gauge ~help:"Fleet workers currently healthy"
-    "vrpd_fleet_workers_healthy"
-
-let obs_worker_up wid =
-  Vrp_obs.Metrics.gauge ~help:"Per-worker liveness (1 = healthy)"
-    ~labels:[ ("worker", string_of_int wid) ] "vrpd_fleet_worker_up"
-
-let obs_worker_inflight wid =
-  Vrp_obs.Metrics.gauge ~help:"Per-worker in-flight load from its last ping"
-    ~labels:[ ("worker", string_of_int wid) ] "vrpd_fleet_worker_inflight"
-
-let obs_fleet_uptime =
-  Vrp_obs.Metrics.gauge ~help:"Fleet front door uptime in seconds"
-    "vrpd_fleet_uptime_seconds"
 
 type slot_state = Healthy | Replacing | Degraded
 
@@ -123,8 +91,7 @@ type t = {
   slots : slot array;
   sup : Supervisor.t;  (* proxy retry ladder (no deadline monitor) *)
   counters : counters;
-  report : Diag.report;
-  lock : Mutex.t;  (* counters + report + slot states + proxied count *)
+  lock : Mutex.t;  (* counters + slot states + proxied count *)
   acc : Accept.t;
   admit : Admit.t;  (* front-door connection bound + idle sweeper *)
   started : float;  (* unix time of [create] *)
@@ -135,18 +102,12 @@ type t = {
 }
 
 let settings t = t.settings
-let counters t = t.counters
-let report t = t.report
-let admit t = t.admit
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let note t severity fmt =
-  Printf.ksprintf
-    (fun msg -> locked t (fun () -> Diag.add t.report severity Diag.Server_event msg))
-    fmt
+let counters t = locked t (fun () -> { t.counters with served = t.counters.served })
 
 (* --- Worker liveness probes --- *)
 
@@ -241,34 +202,24 @@ let spawn_slot t (s : slot) =
    old body, wait for its socket path to be reclaimable, respawn on the
    same path. Out of restart budget → degrade the slot; under --strict a
    degraded fleet stops serving (vrpd maps that to exit 3). *)
-let replace t (s : slot) ~why =
+let replace t (s : slot) =
   locked t (fun () -> s.state <- Replacing);
   (match s.body with
   | Some w ->
     w.kill ();
-    if not (wait_dead w) then
-      note t Diag.Warning "worker-%d refused to die; replacing anyway" s.wid
+    (* A body that refuses to die is replaced anyway. *)
+    ignore (wait_dead w)
   | None -> ());
   s.body <- None;
   if s.incarnation > t.settings.restarts then begin
     locked t (fun () -> s.state <- Degraded);
-    note t Diag.Warning
-      "worker-%d %s and is out of restarts (%d used); slot degraded" s.wid why
-      t.settings.restarts;
     if t.settings.strict then Accept.stop t.acc
   end
   else
     match spawn_slot t s with
-    | () ->
-      locked t (fun () ->
-          t.counters.replaced <- t.counters.replaced + 1;
-          Vrp_obs.Metrics.inc obs_replaced);
-      note t Diag.Warning "worker-%d %s; replaced (incarnation %d)" s.wid why
-        (s.incarnation - 1)
-    | exception e ->
+    | () -> locked t (fun () -> t.counters.replaced <- t.counters.replaced + 1)
+    | exception _ ->
       locked t (fun () -> s.state <- Degraded);
-      note t Diag.Warning "worker-%d replacement failed (%s); slot degraded" s.wid
-        (Printexc.to_string e);
       if t.settings.strict then Accept.stop t.acc
 
 let monitor_loop t () =
@@ -278,14 +229,14 @@ let monitor_loop t () =
       (fun s ->
         if (not (Atomic.get t.monitor_stop)) && s.state = Healthy then
           match s.body with
-          | Some w when not (w.alive ()) -> replace t s ~why:"died"
+          | Some w when not (w.alive ()) -> replace t s
           | Some _ -> (
             match ping_probe ~timeout_ms:t.settings.ping_timeout_ms s.sock with
             | Some resp -> note_load t s resp
             | None ->
               (* Unresponsive but running: a wedged daemon holds its socket,
                  so it must be killed before the slot can be rebound. *)
-              replace t s ~why:"stopped answering pings")
+              replace t s)
           | None -> ())
       t.slots;
     (* Sleep in small steps so shutdown does not wait a full interval. *)
@@ -330,7 +281,6 @@ let create ~settings ~spawner () =
             }
           ();
       counters = { served = 0; contained = 0; failovers = 0; replaced = 0 };
-      report = Diag.create ();
       lock = Mutex.create ();
       acc = Accept.create ();
       admit = Admit.create ~limits:settings.limits ();
@@ -354,7 +304,6 @@ let create ~settings ~spawner () =
         | None -> ())
       slots;
     raise e);
-  note t Diag.Info "fleet up: %d worker(s) in %s" settings.size settings.dir;
   t.monitor <- Some (Thread.create (monitor_loop t) ());
   t
 
@@ -416,46 +365,86 @@ let state_string = function
   | Replacing -> "replacing"
   | Degraded -> "degraded"
 
-(* Refresh the per-worker and aggregate health gauges from slot state.
-   Called on every scrape/status rather than on every transition so the
-   gauges cannot drift from the slots they summarize. *)
-let refresh_health_gauges t =
-  let healthy = ref 0 in
-  Array.iter
-    (fun s ->
-      if s.state = Healthy then incr healthy;
-      Vrp_obs.Metrics.set (obs_worker_up s.wid)
+(* One read of every counter the front door owns. [fleet-status], [ping]
+   and the [metrics] op all render from it, so the status text and the
+   scrape agree by construction. *)
+type snapshot = {
+  fleet : counters;
+  slots : slot list;  (* copies taken under the lock *)
+  admission : Admit.counters;
+  supervision : Supervisor.counters;
+  uptime_s : float;
+}
+
+let snapshot t =
+  let fleet, slots =
+    locked t (fun () ->
+        ( { t.counters with served = t.counters.served },
+          Array.to_list (Array.map (fun s -> { s with wid = s.wid }) t.slots) ))
+  in
+  {
+    fleet;
+    slots;
+    admission = Admit.counters t.admit;
+    supervision = Supervisor.counters t.sup;
+    uptime_s = Unix.gettimeofday () -. t.started;
+  }
+
+let healthy slots = List.length (List.filter (fun s -> s.state = Healthy) slots)
+
+let samples snap =
+  let module M = Vrp_obs.Metrics in
+  let c = snap.fleet in
+  let per_worker s =
+    let labels = [ ("worker", string_of_int s.wid) ] in
+    [
+      M.gauge_sample ~help:"Per-worker liveness (1 = healthy)" ~labels
+        "vrpd_fleet_worker_up"
         (if s.state = Healthy then 1.0 else 0.0);
-      Vrp_obs.Metrics.set (obs_worker_inflight s.wid) (float_of_int s.inflight))
-    t.slots;
-  Vrp_obs.Metrics.set obs_workers_healthy (float_of_int !healthy);
-  Vrp_obs.Metrics.set obs_fleet_uptime (Unix.gettimeofday () -. t.started)
+      M.gauge_sample ~help:"Per-worker in-flight load from its last ping" ~labels
+        "vrpd_fleet_worker_inflight" (float_of_int s.inflight);
+    ]
+  in
+  [
+    M.counter_sample ~help:"Fleet requests served" "vrpd_fleet_served_total"
+      c.served;
+    M.counter_sample ~help:"Fleet requests contained" "vrpd_fleet_contained_total"
+      c.contained;
+    M.counter_sample ~help:"Proxy retries that re-routed to another worker"
+      "vrpd_fleet_failovers_total" c.failovers;
+    M.counter_sample ~help:"Workers crash-replaced" "vrpd_fleet_replaced_total"
+      c.replaced;
+    M.gauge_sample ~help:"Fleet workers currently healthy"
+      "vrpd_fleet_workers_healthy" (float_of_int (healthy snap.slots));
+    M.gauge_sample ~help:"Fleet front door uptime in seconds"
+      "vrpd_fleet_uptime_seconds" snap.uptime_s;
+  ]
+  @ List.concat_map per_worker snap.slots
+  @ Admit.samples snap.admission
+  @ Supervisor.samples snap.supervision
 
 let handle_fleet_status t =
-  let c = t.counters in
-  let healthy =
-    Array.fold_left (fun n s -> if s.state = Healthy then n + 1 else n) 0 t.slots
-  in
-  refresh_health_gauges t;
-  let uptime = Unix.gettimeofday () -. t.started in
+  let snap = snapshot t in
+  let c = snap.fleet and healthy = healthy snap.slots in
+  let size = List.length snap.slots in
   let op_counts =
     List.map (fun op -> (op, Vrp_obs.Metrics.value (obs_requests op))) fleet_ops
   in
   let total_requests = List.fold_left (fun acc (_, n) -> acc + n) 0 op_counts in
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (Printf.sprintf "fleet %s: %d worker(s), %d healthy\n" Version.version
-       (Array.length t.slots) healthy);
+    (Printf.sprintf "fleet %s: %d worker(s), %d healthy\n" Version.version size
+       healthy);
   Buffer.add_string buf
     (Printf.sprintf "requests: %d served, %d contained, %d failover(s)\n" c.served
        c.contained c.failovers);
-  Buffer.add_string buf (Printf.sprintf "uptime: %.1fs\n" uptime);
+  Buffer.add_string buf (Printf.sprintf "uptime: %.1fs\n" snap.uptime_s);
   Buffer.add_string buf
     (Printf.sprintf "ops: %d total (%s)\n" total_requests
        (String.concat ", "
           (List.map (fun (op, n) -> Printf.sprintf "%s %d" op n) op_counts)));
   Buffer.add_string buf (Printf.sprintf "workers replaced: %d\n" c.replaced);
-  Array.iter
+  List.iter
     (fun s ->
       Buffer.add_string buf
         (Printf.sprintf "worker-%d: %s (incarnation %d) inflight %d/%s, %d shed, %s\n"
@@ -464,47 +453,46 @@ let handle_fleet_status t =
            s.inflight
            (if s.capacity > 0 then string_of_int s.capacity else "?")
            s.shed s.sock))
-    t.slots;
-  Buffer.add_string buf (Admit.counters_line t.admit ^ "\n");
-  Buffer.add_string buf (Supervisor.counters_line t.sup ^ "\n");
+    snap.slots;
+  Buffer.add_string buf (Admit.counters_line snap.admission ^ "\n");
+  Buffer.add_string buf (Supervisor.counters_line snap.supervision ^ "\n");
   let workers =
-    Array.to_list
-      (Array.map
-         (fun s ->
-           Json.Obj
-             [
-               ("wid", Json.Int s.wid);
-               ("state", Json.String (state_string s.state));
-               ("incarnation", Json.Int (max 0 (s.incarnation - 1)));
-               ("inflight", Json.Int s.inflight);
-               ("capacity", Json.Int s.capacity);
-               ("shed", Json.Int s.shed);
-               ("sock", Json.String s.sock);
-             ])
-         t.slots)
+    List.map
+      (fun s ->
+        Json.Obj
+          [
+            ("wid", Json.Int s.wid);
+            ("state", Json.String (state_string s.state));
+            ("incarnation", Json.Int (max 0 (s.incarnation - 1)));
+            ("inflight", Json.Int s.inflight);
+            ("capacity", Json.Int s.capacity);
+            ("shed", Json.Int s.shed);
+            ("sock", Json.String s.sock);
+          ])
+      snap.slots
   in
   ( { Ops.out = Buffer.contents buf; err = ""; code = 0 },
     [
       ("version", Json.String Version.version);
-      ("size", Json.Int (Array.length t.slots));
+      ("size", Json.Int size);
       ("healthy", Json.Int healthy);
       ("served", Json.Int c.served);
       ("contained", Json.Int c.contained);
       ("failovers", Json.Int c.failovers);
       ("replaced", Json.Int c.replaced);
-      ("uptime_s", Json.Float uptime);
+      ("uptime_s", Json.Float snap.uptime_s);
       ("requests_total", Json.Int total_requests);
       ("ops", Json.Obj (List.map (fun (op, n) -> (op, Json.Int n)) op_counts));
       ("workers", Json.List workers);
     ] )
 
 let handle_ping t =
-  let a = Admit.counters t.admit in
+  let a = (snapshot t).admission in
   ( { Ops.out = ""; err = ""; code = 0 },
     [
       ("pong", Json.Bool true);
       ("pid", Json.Int (Unix.getpid ()));
-      ("inflight", Json.Int (Admit.inflight t.admit));
+      ("inflight", Json.Int a.Admit.inflight);
       ("shed", Json.Int (a.Admit.shed_conns + a.Admit.shed_requests));
     ] )
 
@@ -512,13 +500,13 @@ let handle_shutdown t =
   Accept.request_stop t.acc;
   ({ Ops.out = ""; err = ""; code = 0 }, [ ("stopping", Json.Bool true) ])
 
-(* Front-door Prometheus scrape. Answered locally — the front door's own
-   registry holds its admission gate, proxy ladder, replacement counters
-   and per-worker health; workers are separate processes with their own
-   scrapeable registries. Control plane: never proxied, never queued. *)
+(* Front-door Prometheus scrape: the process registry plus the front
+   door's snapshot (admission gate, proxy ladder, replacement counters,
+   per-worker health). Workers are separate processes with their own
+   scrapes. Control plane: never proxied, never queued. *)
 let handle_metrics t =
-  refresh_health_gauges t;
-  ({ Ops.out = Vrp_obs.Metrics.render (); err = ""; code = 0 }, [])
+  let samples = samples (snapshot t) in
+  ({ Ops.out = Vrp_obs.Metrics.render ~samples (); err = ""; code = 0 }, [])
 
 (* The Kill_worker chaos fault: every Nth proxied request force-kills its
    routed worker just before forwarding — the proxy's retry ladder plus
@@ -531,11 +519,7 @@ let maybe_kill_routed t (s : slot) =
           t.proxied <- t.proxied + 1;
           t.proxied mod n = 0)
     in
-    if fire then begin
-      note t Diag.Warning "fault kill-worker: killing worker-%d before forwarding"
-        s.wid;
-      match s.body with Some w -> w.kill () | None -> ()
-    end
+    if fire then Option.iter (fun w -> w.kill ()) s.body
   | _ -> ()
 
 (* A busy response raised through the proxy's retry ladder: each retry
@@ -554,9 +538,7 @@ let proxy t (req : Protocol.request) =
         ~name:(Printf.sprintf "%s via worker-%d" op first.wid)
         (fun token ->
           if Diag.Cancel.attempt token > 0 then
-            locked t (fun () ->
-                t.counters.failovers <- t.counters.failovers + 1;
-                Vrp_obs.Metrics.inc obs_failovers);
+            locked t (fun () -> t.counters.failovers <- t.counters.failovers + 1);
           (* Re-route each attempt: the slot may have degraded (or
              saturated) mid-retry. *)
           let s = route t ~op ~params in
@@ -610,18 +592,13 @@ let handle t (req : Protocol.request) =
   Vrp_obs.Metrics.time (obs_request_seconds req.Protocol.op) @@ fun () ->
   match dispatch () with
   | resp ->
-    locked t (fun () ->
-        t.counters.served <- t.counters.served + 1;
-        Vrp_obs.Metrics.inc obs_served);
+    locked t (fun () -> t.counters.served <- t.counters.served + 1);
     resp
   | exception e ->
     let msg =
       match e with Failure m -> m | e -> Printexc.to_string e
     in
-    locked t (fun () ->
-        t.counters.contained <- t.counters.contained + 1;
-        Vrp_obs.Metrics.inc obs_contained);
-    note t Diag.Warning "%s id=%d contained: %s" req.Protocol.op req.Protocol.id msg;
+    locked t (fun () -> t.counters.contained <- t.counters.contained + 1);
     Protocol.error_response ~rid:req.Protocol.id ~kind:"worker-unavailable" msg
 
 (* --- Serving --- *)
@@ -633,7 +610,6 @@ let serve t listen_fd =
     ~admit:t.admit listen_fd
 
 let stop t = Accept.stop t.acc
-let stopping t = Accept.stopping t.acc
 
 let shutdown t =
   if not t.shut then begin

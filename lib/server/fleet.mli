@@ -37,8 +37,9 @@
 
     Front-door-local operations: [fleet-status] (fleet counters and
     per-worker state), [ping], [metrics] (Prometheus exposition of the
-    front door's registry: admission, proxy ladder, replacement counters,
-    per-worker health gauges), [shutdown]. Everything else is proxied.
+    process registry plus the front door's own counters: admission, proxy
+    ladder, replacement counters, per-worker health gauges), [shutdown].
+    Everything else is proxied.
 
     Fault injection: [Kill_worker n] force-kills the routed worker on
     every [n]th proxied request just before forwarding — the request must
@@ -98,14 +99,10 @@ type t
 val create : settings:settings -> spawner:spawner -> unit -> t
 
 val settings : t -> settings
+
+(** Snapshot of the fleet counters. The front door keeps their only copy;
+    [fleet-status] and the [metrics] scrape both render from it. *)
 val counters : t -> counters
-
-(** The front door's admission state (connection shed / idle-close
-    counters, also surfaced by [fleet-status]). *)
-val admit : t -> Admit.t
-
-(** Fleet-lifecycle diagnostics ([Server_event] entries). *)
-val report : t -> Diag.report
 
 (** The worker socket path a request with these [op]/[params] routes to
     right now. Exposed for the tests (routing determinism). *)
@@ -124,7 +121,6 @@ val handle : t -> Protocol.request -> Protocol.response
 val serve : t -> Unix.file_descr -> unit
 
 val stop : t -> unit
-val stopping : t -> bool
 
 (** Stop the monitor, kill every worker and wait for teardown, release the
     accept state. Idempotent. *)

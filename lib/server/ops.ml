@@ -245,7 +245,8 @@ let batch ?cache ?supervisor ?journal ?journal_fault ~opts ~sources () =
       (Printf.sprintf "journal: %d of %d file(s) resumed from checkpoint\n"
          a.Batch.resumed_files a.Batch.files);
   Option.iter
-    (fun s -> Buffer.add_string err (Supervisor.counters_line s ^ "\n"))
+    (fun s ->
+      Buffer.add_string err (Supervisor.(counters_line (counters s)) ^ "\n"))
     supervisor;
   Option.iter
     (fun c -> Buffer.add_string err (Summary_cache.counters_line c ^ "\n"))

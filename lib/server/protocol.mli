@@ -3,7 +3,7 @@
 
     Frame format: a 4-byte big-endian unsigned payload length followed by
     exactly that many payload bytes, which are one JSON document. Frames
-    larger than {!max_frame} are rejected before any allocation so a
+    larger than 64 MiB are rejected before any allocation so a
     corrupt or hostile peer cannot balloon the daemon.
 
     One connection carries a sequence of request frames, each answered by
@@ -32,14 +32,11 @@ type response = {
   data : (string * Json.t) list;  (** op-specific structured payload *)
 }
 
-(** Hard cap on a frame payload (64 MiB). *)
-val max_frame : int
-
 (** Read one frame. [None] on a clean EOF at a frame boundary.
     @raise Failure on a torn frame, oversized length or mid-frame EOF. *)
 val read_frame : Unix.file_descr -> string option
 
-(** @raise Failure when [payload] exceeds {!max_frame}. *)
+(** @raise Failure when [payload] exceeds the 64 MiB cap. *)
 val write_frame : Unix.file_descr -> string -> unit
 
 val encode_request : request -> string

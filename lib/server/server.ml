@@ -29,10 +29,11 @@ let default_settings =
 
 (* --- Registry-backed request telemetry ---
 
-   Per-op request counters and latency histograms, admission mirrors (see
-   {!Admit}), uptime, and session diff-size histograms. The [status] text
-   sources its uptime/per-op lines from these cells — one bookkeeping
-   path, scraped by the [metrics] op as Prometheus text. *)
+   Per-op request counters and latency histograms, and session diff-size
+   histograms: process-wide facts no single daemon instance owns (every
+   in-process fleet worker adds to them). The [status] text sources its
+   per-op lines from these cells. Counters a daemon owns live in its own
+   records and reach the scrape through {!snapshot}. *)
 
 let known_ops =
   [ "predict"; "analyze"; "compare"; "batch"; "status"; "evict"; "ping";
@@ -49,21 +50,6 @@ let obs_requests op =
 let obs_request_seconds op =
   Vrp_obs.Metrics.histogram ~help:"Request latency in seconds, by operation"
     ~labels:[ ("op", op_label op) ] "vrpd_request_seconds"
-
-let obs_contained =
-  Vrp_obs.Metrics.counter ~help:"Requests answered by the containment wrapper"
-    "vrpd_requests_contained_total"
-
-let obs_cancelled =
-  Vrp_obs.Metrics.counter ~help:"Requests contained by cancellation"
-    "vrpd_requests_cancelled_total"
-
-let obs_uptime =
-  Vrp_obs.Metrics.gauge ~help:"Daemon uptime in seconds" "vrpd_uptime_seconds"
-
-let obs_start_time =
-  Vrp_obs.Metrics.gauge ~help:"Daemon start time in unix seconds"
-    "vrpd_start_time_seconds"
 
 let session_size_buckets = [ 0.; 1.; 2.; 5.; 10.; 20.; 50.; 100. ]
 
@@ -94,8 +80,7 @@ type t = {
   sessions : Session.t;
   admit : Admit.t;  (* shared by the accept loop and the request gate *)
   counters : counters;
-  report : Diag.report;
-  state_lock : Mutex.t;  (* counters + report *)
+  state_lock : Mutex.t;  (* counters *)
   acc : Accept.t;
   started : float;  (* unix time of [create]; uptime in status/metrics *)
   mutable shut : bool;
@@ -130,24 +115,52 @@ let create ?(settings = default_settings) () =
     sessions = Session.create ();
     admit = Admit.create ~limits:settings.limits ();
     counters = { served = 0; contained = 0; cancelled = 0 };
-    report = Diag.create ();
     state_lock = Mutex.create ();
     acc = Accept.create ();
-    started =
-      (let now = Unix.gettimeofday () in
-       Vrp_obs.Metrics.set obs_start_time now;
-       now);
+    started = Unix.gettimeofday ();
     shut = false;
   }
 
 let settings t = t.settings
-let counters t = t.counters
 let admit t = t.admit
-let report t = t.report
 
 let locked t f =
   Mutex.lock t.state_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.state_lock) f
+
+let counters t = locked t (fun () -> { t.counters with served = t.counters.served })
+
+(* One read of every counter this daemon owns. [status], [ping] and the
+   [metrics] op all render from it, so the status text and the scrape
+   agree by construction. *)
+type snapshot = {
+  requests : counters;
+  admission : Admit.counters;
+  supervision : Supervisor.counters;
+  started : float;
+  uptime_s : float;
+}
+
+let snapshot t =
+  {
+    requests = counters t;
+    admission = Admit.counters t.admit;
+    supervision = Supervisor.counters t.sup;
+    started = t.started;
+    uptime_s = Unix.gettimeofday () -. t.started;
+  }
+
+let samples snap =
+  let module M = Vrp_obs.Metrics in
+  M.counter_sample ~help:"Requests answered by the containment wrapper"
+    "vrpd_requests_contained_total" snap.requests.contained
+  :: M.counter_sample ~help:"Requests contained by cancellation"
+       "vrpd_requests_cancelled_total" snap.requests.cancelled
+  :: M.gauge_sample ~help:"Daemon uptime in seconds" "vrpd_uptime_seconds"
+       snap.uptime_s
+  :: M.gauge_sample ~help:"Daemon start time in unix seconds"
+       "vrpd_start_time_seconds" snap.started
+  :: (Admit.samples snap.admission @ Supervisor.samples snap.supervision)
 
 (* --- Request parameter extraction --- *)
 
@@ -333,7 +346,8 @@ let handle_batch t p =
   outcome_ok (Ops.batch ~cache:t.cache ~supervisor:t.sup ~opts ~sources:files ()) []
 
 let handle_status t =
-  let c = t.counters in
+  let snap = snapshot t in
+  let c = snap.requests and a = snap.admission in
   let sessions = Session.ids t.sessions in
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "vrpd %s\n" Version.version);
@@ -353,9 +367,7 @@ let handle_status t =
   Buffer.add_string buf
     (Printf.sprintf "requests: %d served, %d contained, %d cancelled\n" c.served
        c.contained c.cancelled);
-  let uptime = Unix.gettimeofday () -. t.started in
-  Vrp_obs.Metrics.set obs_uptime uptime;
-  Buffer.add_string buf (Printf.sprintf "uptime: %.1fs\n" uptime);
+  Buffer.add_string buf (Printf.sprintf "uptime: %.1fs\n" snap.uptime_s);
   let op_counts =
     List.map (fun op -> (op, Vrp_obs.Metrics.value (obs_requests op))) known_ops
   in
@@ -368,13 +380,12 @@ let handle_status t =
     (Printf.sprintf "limits: %d conns, %d inflight, %d queued, %dms idle timeout\n"
        t.settings.limits.Admit.max_conns t.settings.limits.Admit.max_inflight
        t.settings.limits.Admit.max_queue t.settings.limits.Admit.idle_timeout_ms);
-  Buffer.add_string buf (Admit.counters_line t.admit ^ "\n");
+  Buffer.add_string buf (Admit.counters_line a ^ "\n");
   Buffer.add_string buf
     (Printf.sprintf "sessions: %d%s\n" (List.length sessions)
        (if sessions = [] then "" else " (" ^ String.concat ", " sessions ^ ")"));
   Buffer.add_string buf (Summary_cache.counters_line t.cache ^ "\n");
-  Buffer.add_string buf (Supervisor.counters_line t.sup ^ "\n");
-  let a = Admit.counters t.admit in
+  Buffer.add_string buf (Supervisor.counters_line snap.supervision ^ "\n");
   ( { Ops.out = Buffer.contents buf; err = ""; code = 0 },
     [
       ("version", Json.String Version.version);
@@ -383,11 +394,11 @@ let handle_status t =
       ("served", Json.Int c.served);
       ("contained", Json.Int c.contained);
       ("cancelled", Json.Int c.cancelled);
-      ("uptime_s", Json.Float uptime);
+      ("uptime_s", Json.Float snap.uptime_s);
       ("requests_total", Json.Int total_requests);
       ( "ops",
         Json.Obj (List.map (fun (op, n) -> (op, Json.Int n)) op_counts) );
-      ("inflight", Json.Int (Admit.inflight t.admit));
+      ("inflight", Json.Int a.Admit.inflight);
       ("shed", Json.Int (a.Admit.shed_conns + a.Admit.shed_requests));
       ("expired", Json.Int a.Admit.expired);
       ("idle_closed", Json.Int a.Admit.idle_closed);
@@ -406,12 +417,12 @@ let handle_evict t =
 (* Ping doubles as the fleet's load probe: inflight/capacity/shed let the
    front door route around saturated workers, not just dead ones. *)
 let handle_ping t =
-  let a = Admit.counters t.admit in
+  let a = (snapshot t).admission in
   ( { Ops.out = ""; err = ""; code = 0 },
     [
       ("pong", Json.Bool true);
       ("pid", Json.Int (Unix.getpid ()));
-      ("inflight", Json.Int (Admit.inflight t.admit));
+      ("inflight", Json.Int a.Admit.inflight);
       ("capacity", Json.Int t.settings.limits.Admit.max_inflight);
       ("shed", Json.Int (a.Admit.shed_conns + a.Admit.shed_requests));
     ] )
@@ -420,18 +431,14 @@ let handle_shutdown t =
   Accept.request_stop t.acc;
   ({ Ops.out = ""; err = ""; code = 0 }, [ ("stopping", Json.Bool true) ])
 
-(* Prometheus scrape. Control plane like [ping]: bypasses admission so an
-   overloaded or shedding daemon stays scrapeable. *)
+(* Prometheus scrape: the process registry plus this daemon's snapshot.
+   Control plane like [ping]: bypasses admission so an overloaded or
+   shedding daemon stays scrapeable. *)
 let handle_metrics t =
-  Vrp_obs.Metrics.set obs_uptime (Unix.gettimeofday () -. t.started);
-  ({ Ops.out = Vrp_obs.Metrics.render (); err = ""; code = 0 }, [])
+  let samples = samples (snapshot t) in
+  ({ Ops.out = Vrp_obs.Metrics.render ~samples (); err = ""; code = 0 }, [])
 
 (* --- Dispatch + per-request containment --- *)
-
-let note t severity fmt =
-  Printf.ksprintf
-    (fun msg -> locked t (fun () -> Diag.add t.report severity Diag.Server_event msg))
-    fmt
 
 (* Ops that do analysis work take an in-flight slot; the control plane
    (status, ping, metrics, shutdown, evict) always answers, precisely so
@@ -463,9 +470,6 @@ let handle t (req : Protocol.request) =
     locked t (fun () ->
         t.counters.contained <- t.counters.contained + 1;
         if cancelled then t.counters.cancelled <- t.counters.cancelled + 1);
-    Vrp_obs.Metrics.inc obs_contained;
-    if cancelled then Vrp_obs.Metrics.inc obs_cancelled;
-    note t Diag.Warning "%s id=%d contained: %s" req.Protocol.op req.Protocol.id msg;
     Protocol.error_response ~rid:req.Protocol.id ~kind msg
   in
   let run ?budget_ms () =
@@ -475,8 +479,6 @@ let handle t (req : Protocol.request) =
     match dispatch ?budget_ms () with
     | (o : Ops.outcome), data ->
       locked t (fun () -> t.counters.served <- t.counters.served + 1);
-      note t Diag.Info "%s id=%d served code=%d" req.Protocol.op req.Protocol.id
-        o.Ops.code;
       {
         Protocol.rid = req.Protocol.id;
         ok = true;
@@ -504,15 +506,11 @@ let handle t (req : Protocol.request) =
       | _ -> None
     in
     let expired () =
-      note t Diag.Warning "%s id=%d shed: deadline expired before dispatch"
-        req.Protocol.op req.Protocol.id;
       Protocol.error_response ~rid:req.Protocol.id ~kind:"deadline-expired"
         "request deadline expired before dispatch"
     in
     match Admit.admit t.admit ?deadline () with
     | Admit.Shed retry_after_ms ->
-      note t Diag.Warning "%s id=%d shed: over capacity, retry in %dms"
-        req.Protocol.op req.Protocol.id retry_after_ms;
       Protocol.busy_response ~rid:req.Protocol.id ~retry_after_ms
         (Printf.sprintf "server at capacity (%d in flight); retry later"
            t.settings.limits.Admit.max_inflight)
@@ -573,7 +571,6 @@ let listen_tcp ~host ~port =
   fd
 
 let stop t = Accept.stop t.acc
-let stopping t = Accept.stopping t.acc
 
 let serve t listen_fd =
   Accept.serve t.acc ~handle:(handle t)

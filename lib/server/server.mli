@@ -18,7 +18,8 @@
     incremental predict), [compare], [batch], [status], [evict], [ping]
     (liveness-and-load probe answering [pong] plus the daemon's pid,
     inflight, capacity and shed count — the fleet's health check),
-    [metrics] (Prometheus text exposition of the process-wide registry),
+    [metrics] (Prometheus text exposition of the process-wide registry
+    together with this daemon's own counters),
     [shutdown]. The analysis operations answer the byte-identical stdout
     of the corresponding one-shot CLI command (same {!Ops} code path).
 
@@ -65,14 +66,15 @@ type t
 
 val create : ?settings:settings -> unit -> t
 val settings : t -> settings
+
+(** Snapshot of the request counters. The daemon keeps their only copy;
+    [status] and the [metrics] scrape both render from it. *)
 val counters : t -> counters
 
 (** The daemon's admission state: live inflight/conns gauges and the shed /
-    expired / idle-closed counters (also surfaced by [status] and [ping]). *)
+    expired / idle-closed counters (also surfaced by [status], [ping] and
+    the [metrics] scrape). *)
 val admit : t -> Admit.t
-
-(** Request-lifecycle diagnostics ([Server_event] entries). *)
-val report : t -> Diag.report
 
 (** Handle one request synchronously — the full dispatch plus containment
     wrapper, independent of any socket. The seam the tests and the bench
@@ -93,12 +95,10 @@ val listen_tcp : host:string -> port:int -> Unix.file_descr
     connection and joins its thread. Does not close [listen_fd]. *)
 val serve : t -> Unix.file_descr -> unit
 
-(** Ask {!serve} to return. Safe from any thread or signal handler;
-    idempotent. *)
+(** Ask {!serve} to return. Safe from any thread and idempotent; a no-op
+    after {!shutdown}. A signal handler must hand it to another thread
+    (see {!Accept.stop}). *)
 val stop : t -> unit
-
-(** True once a stop was requested. *)
-val stopping : t -> bool
 
 (** Release resident resources (pool domains, supervisor monitor). Call
     after {!serve} returns. Idempotent. *)

@@ -66,12 +66,6 @@ let find_or_create t sid =
         Hashtbl.replace t.table sid s;
         s)
 
-let drop t sid =
-  locked t.table_lock (fun () ->
-      let existed = Hashtbl.mem t.table sid in
-      Hashtbl.remove t.table sid;
-      existed)
-
 let count t = locked t.table_lock (fun () -> Hashtbl.length t.table)
 
 let ids t =
@@ -85,7 +79,6 @@ let evict_all t =
   in
   List.fold_left (fun n s -> n + Summary_cache.evict_memory s.cache) 0 sessions
 
-let id s = s.sid
 let cache s = s.cache
 let with_lock s f = locked s.lock f
 

@@ -41,9 +41,6 @@ val create : ?max_sessions:int -> unit -> t
 (** Find [id]'s session, creating it on first use. *)
 val find_or_create : t -> string -> session
 
-(** Drop a session, releasing its cache. True when it existed. *)
-val drop : t -> string -> bool
-
 val count : t -> int
 
 (** Session ids, sorted. *)
@@ -51,8 +48,6 @@ val ids : t -> string list
 
 (** Evict every session's cache memory tier; total entries dropped. *)
 val evict_all : t -> int
-
-val id : session -> string
 
 (** The session's private summary cache (memory tier only). *)
 val cache : session -> Summary_cache.t

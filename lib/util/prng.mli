@@ -5,7 +5,6 @@
 type t
 
 val create : int -> t
-val next_int64 : t -> int64
 
 (** [int t bound] is uniform in [[0, bound)].
     @raise Invalid_argument if [bound <= 0]. *)

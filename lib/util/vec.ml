@@ -84,7 +84,6 @@ let of_list ~dummy xs =
   List.iter (push t) xs;
   t
 
-let to_array t = Array.sub t.data 0 t.len
 
 let map ~dummy f t =
   let out = create ~dummy in

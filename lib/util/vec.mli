@@ -20,11 +20,9 @@ val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a
 
 val clear : 'a t -> unit
-val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 val of_list : dummy:'a -> 'a list -> 'a t
-val to_array : 'a t -> 'a array
 val map : dummy:'b -> ('a -> 'b) -> 'a t -> 'b t

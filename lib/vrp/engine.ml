@@ -65,9 +65,6 @@ type config = {
       (** explicit worklist-step budget; [None] derives one from function
           size. Exhaustion is never silent: it is flagged in the result
           record and surfaced as a {!Diag.Budget_exhausted} diagnostic *)
-  time_limit_s : float option;
-      (** wall-clock governor: stop draining (keeping partial results) once
-          the analysis of this function has run this many seconds *)
   max_growth : int;
       (** per-variable range-set growth cap: a value whose range set grows
           past this many ranges is widened to ⊥ (backstop behind
@@ -92,7 +89,6 @@ let default_config =
     flow_first = true;
     fallback = Heuristic;
     fuel = None;
-    time_limit_s = None;
     max_growth = 32;
     fault = None;
     cancel = None;
@@ -116,7 +112,6 @@ type t = {
   fuel_limit : int;  (** the step budget this run was given *)
   fuel_spent : int;  (** worklist steps actually taken *)
   fuel_exhausted : bool;  (** ran out of fuel before the fixed point *)
-  timed_out : bool;  (** the wall-clock governor tripped *)
   widenings : int;  (** values forcibly widened to ⊥ (quota / growth cap) *)
 }
 
@@ -634,11 +629,6 @@ let analyze_body ?(config = default_config) ?report
     | Some (Diag.Fault.Starve_fuel f) -> String.equal f fname
     | _ -> false
   in
-  let forced_timeout =
-    match config.fault with
-    | Some (Diag.Fault.Timeout_fn f) -> String.equal f fname
-    | _ -> false
-  in
   let trip_after =
     match config.fault with Some (Diag.Fault.Trip_after n) -> Some n | _ -> None
   in
@@ -704,16 +694,8 @@ let analyze_body ?(config = default_config) ?report
     in
     if starved then min base starvation_fuel else base
   in
-  let deadline =
-    if forced_timeout then Some neg_infinity
-    else
-      match config.time_limit_s with
-      | Some limit -> Some (Sys.time () +. limit)
-      | None -> None
-  in
   let fuel = ref fuel_limit in
   let exhausted = ref false in
-  let timed_out = ref false in
   let take_flow () =
     if Queue.is_empty st.flow_list then false
     else begin
@@ -735,12 +717,6 @@ let analyze_body ?(config = default_config) ?report
   do
     if !fuel <= 0 then begin
       exhausted := true;
-      stop := true
-    end
-    else if
-      match deadline with Some d -> Sys.time () > d | None -> false
-    then begin
-      timed_out := true;
       stop := true
     end
     else begin
@@ -778,13 +754,6 @@ let analyze_body ?(config = default_config) ?report
          (Queue.length st.flow_list)
          (Queue.length st.ssa_list))
   end;
-  if !timed_out then begin
-    if forced_timeout then
-      diag st Diag.Info Diag.Fault_injected "timeout tripped by injected fault";
-    diag st Diag.Warning Diag.Timeout
-      (Printf.sprintf
-         "wall-clock limit hit after %d steps; results are partial" fuel_spent)
-  end;
   (* Symbolic algebra v2, post-fixpoint pass: harvest the converged ranges
      into the fact environment, then try to prove fallback branches one-way.
      Only fallback branches are touched — a range-derived probability is
@@ -793,8 +762,7 @@ let analyze_body ?(config = default_config) ?report
      the expensive part, so it is deferred until the first candidate: a
      function whose branches all converged to range-derived probabilities
      pays nothing for having the algebra enabled. *)
-  (if config.symbolic && config.algebra && (not !exhausted) && not !timed_out
-   then
+  (if config.symbolic && config.algebra && not !exhausted then
      Vrp_obs.Trace.with_span "algebra" ~args:[ ("fn", fname) ] @@ fun () ->
      let alg = ref None in
      let the_alg () =
@@ -877,7 +845,6 @@ let analyze_body ?(config = default_config) ?report
     fuel_limit;
     fuel_spent;
     fuel_exhausted = !exhausted;
-    timed_out = !timed_out;
     widenings = st.widenings;
   }
 

@@ -29,7 +29,6 @@ type config = {
   fuel : int option;
       (** explicit worklist-step budget; [None] derives one from function
           size. Exhaustion is flagged in the result and diagnosed *)
-  time_limit_s : float option;  (** wall-clock governor (partial results) *)
   max_growth : int;  (** per-variable range-set size cap before widening *)
   fault : Diag.Fault.t option;  (** deterministic fault injection *)
   cancel : Diag.Cancel.token option;
@@ -57,7 +56,6 @@ type t = {
   fuel_limit : int;  (** the step budget this run was given *)
   fuel_spent : int;  (** worklist steps actually taken *)
   fuel_exhausted : bool;  (** ran out of fuel before the fixed point *)
-  timed_out : bool;  (** the wall-clock governor tripped *)
   widenings : int;  (** values forcibly widened to ⊥ (quota / growth cap) *)
 }
 

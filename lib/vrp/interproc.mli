@@ -47,8 +47,6 @@ type task = {
     the exact legacy behaviour. *)
 type runner = task array -> (string * outcome * Diag.report) list array
 
-val sequential_runner : runner
-
 (** The per-function analysis seam; [Vrp_cache] interposes a memoizing
     wrapper here. The default is {!Engine.analyze}. *)
 type analyze_fn =

@@ -117,7 +117,7 @@ let vrp_predictions ?(config = Engine.default_config) ?(interprocedural = true)
                 end
                 else p
               | None ->
-                if eres.Engine.fuel_exhausted || eres.Engine.timed_out then
+                if eres.Engine.fuel_exhausted then
                   record ~fn:fn.Ir.fname ~block:b.Ir.bid Diag.Warning
                     Diag.Fallback_heuristic
                     (Printf.sprintf

@@ -87,14 +87,23 @@ let series_sorted_by_labels () =
   Metrics.inc (Metrics.counter ~registry:r ~labels:[ ("op", "predict") ] "test_ops_total");
   Metrics.inc (Metrics.counter ~registry:r ~labels:[ ("op", "batch") ] "test_ops_total");
   Metrics.inc (Metrics.counter ~registry:r "test_aaa_total");
-  let text = Metrics.render ~registry:r () in
+  (* Caller-supplied samples sort into the same order as the cells. *)
+  let samples =
+    [
+      Metrics.counter_sample ~labels:[ ("op", "x") ] "test_zzz_total" 3;
+      Metrics.gauge_sample ~help:"A level" "test_mmm" 1.5;
+    ]
+  in
+  let text = Metrics.render ~registry:r ~samples () in
   let idx affix =
     match Astring.String.find_sub ~sub:affix text with
     | Some i -> i
     | None -> Alcotest.failf "missing %s" affix
   in
   Alcotest.(check bool) "names sorted" true
-    (idx "test_aaa_total" < idx "test_ops_total");
+    (idx "test_aaa_total" < idx "# TYPE test_mmm gauge\ntest_mmm 1.5\n"
+    && idx "test_mmm" < idx "test_ops_total"
+    && idx "test_ops_total" < idx {|test_zzz_total{op="x"} 3|});
   Alcotest.(check bool) "labels sorted" true
     (idx {|test_ops_total{op="batch"}|} < idx {|test_ops_total{op="predict"}|});
   (* One TYPE header per family, not per series. *)

@@ -252,25 +252,27 @@ let wire_corpus_replay () =
    counters move exactly with the work the daemon just did. The registry
    is process-wide (other tests in this binary also bump it), so the test
    asserts deltas between two scrapes, not absolute values. *)
+(* The integer value of series [name] (name plus rendered labels) in a
+   Prometheus scrape. *)
+let series text name =
+  let prefix = name ^ " " in
+  String.split_on_char '\n' text
+  |> List.find_map (fun line ->
+         if String.length line >= String.length prefix
+            && String.sub line 0 (String.length prefix) = prefix
+         then
+           int_of_string_opt
+             (String.sub line (String.length prefix)
+                (String.length line - String.length prefix))
+         else None)
+  |> function
+  | Some n -> n
+  | None -> Alcotest.failf "series %s not in scrape" name
+
 let metrics_scrape_live () =
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "vrpd-metrics-%d.sock" (Unix.getpid ()))
-  in
-  let series text name =
-    let prefix = name ^ " " in
-    String.split_on_char '\n' text
-    |> List.find_map (fun line ->
-           if String.length line >= String.length prefix
-              && String.sub line 0 (String.length prefix) = prefix
-           then
-             int_of_string_opt
-               (String.sub line (String.length prefix)
-                  (String.length line - String.length prefix))
-           else None)
-    |> function
-    | Some n -> n
-    | None -> Alcotest.failf "series %s not in scrape" name
   in
   with_server ~settings:{ Server.default_settings with Server.jobs = 2 }
     (fun server ->
@@ -1327,6 +1329,183 @@ let session_lru_bound () =
   let ids = List.sort compare (Session.ids t) in
   Alcotest.(check (list string)) "LRU evicted" [ "a"; "c" ] ids
 
+(* --- One store per counter: status and scrape read the same snapshot --- *)
+
+(* Families every scrape carries: the process registry's own cells. *)
+let registry_families =
+  [
+    ("vrp_cache_disk_hits_total", "counter");
+    ("vrp_cache_evictions_total", "counter");
+    ("vrp_cache_hits_total", "counter");
+    ("vrp_cache_invalidations_total", "counter");
+    ("vrp_cache_misses_total", "counter");
+    ("vrp_cache_quarantined_total", "counter");
+    ("vrp_cache_stores_total", "counter");
+    ("vrp_engine_evaluations_total", "counter");
+    ("vrp_engine_fuel_exhaustions_total", "counter");
+    ("vrp_engine_run_seconds", "histogram");
+    ("vrp_engine_runs_total", "counter");
+    ("vrp_engine_sub_ops_total", "counter");
+    ("vrp_engine_widenings_total", "counter");
+    ("vrp_interproc_rounds_total", "counter");
+    ("vrp_sched_task_seconds", "histogram");
+    ("vrp_sched_tasks_total", "counter");
+    ("vrp_sched_waves_total", "counter");
+    ("vrpd_session_changed_functions", "histogram");
+    ("vrpd_session_dirty_functions", "histogram");
+    ("vrpd_session_reused_functions", "histogram");
+  ]
+
+(* Families of an admission gate and a supervisor, which both a daemon and
+   a fleet front door own. *)
+let gate_families =
+  [
+    ("vrp_sched_deadline_hits_total", "counter");
+    ("vrp_sched_gave_up_total", "counter");
+    ("vrp_sched_retries_total", "counter");
+    ("vrpd_admission_admitted_total", "counter");
+    ("vrpd_admission_expired_total", "counter");
+    ("vrpd_admission_idle_closed_total", "counter");
+    ("vrpd_admission_shed_conns_total", "counter");
+    ("vrpd_admission_shed_requests_total", "counter");
+    ("vrpd_inflight", "gauge");
+    ("vrpd_peak_inflight", "gauge");
+  ]
+
+let daemon_families =
+  [
+    ("vrpd_request_seconds", "histogram");
+    ("vrpd_requests_cancelled_total", "counter");
+    ("vrpd_requests_contained_total", "counter");
+    ("vrpd_requests_total", "counter");
+    ("vrpd_start_time_seconds", "gauge");
+    ("vrpd_uptime_seconds", "gauge");
+  ]
+
+let front_door_families =
+  [
+    ("vrpd_fleet_contained_total", "counter");
+    ("vrpd_fleet_failovers_total", "counter");
+    ("vrpd_fleet_replaced_total", "counter");
+    ("vrpd_fleet_request_seconds", "histogram");
+    ("vrpd_fleet_requests_total", "counter");
+    ("vrpd_fleet_served_total", "counter");
+    ("vrpd_fleet_uptime_seconds", "gauge");
+    ("vrpd_fleet_worker_inflight", "gauge");
+    ("vrpd_fleet_worker_up", "gauge");
+    ("vrpd_fleet_workers_healthy", "gauge");
+  ]
+
+(* Every expected family is typed, and no family is typed twice (a
+   snapshot sample must never shadow a registry cell). *)
+let check_families scrape families =
+  let types =
+    List.filter
+      (fun l -> Astring.String.is_prefix ~affix:"# TYPE " l)
+      (String.split_on_char '\n' scrape)
+  in
+  Alcotest.(check int) "one TYPE line per family"
+    (List.length (List.sort_uniq compare types))
+    (List.length types);
+  List.iter
+    (fun (name, kind) ->
+      let line = Printf.sprintf "# TYPE %s %s" name kind in
+      if not (List.mem line types) then Alcotest.failf "scrape lacks %s" line)
+    families
+
+(* A frame that is not a request: the accept loop answers it with a
+   bad-request error and counts it as contained. *)
+let send_malformed_frame sock =
+  let fd = Client.connect_fd sock in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with _ -> ())
+    (fun () ->
+      Protocol.write_frame fd "this is not json";
+      match Option.map Protocol.decode_response (Protocol.read_frame fd) with
+      | Some (Ok resp) ->
+        Alcotest.(check bool) "malformed frame refused" false resp.Protocol.ok
+      | Some (Error msg) -> Alcotest.failf "undecodable answer: %s" msg
+      | None -> Alcotest.fail "no answer to the malformed frame")
+
+let data_int key (resp : Protocol.response) =
+  Option.bind (List.assoc_opt key resp.Protocol.data) Json.get_int
+
+let server_bad_frame_status_matches_scrape () =
+  with_live_server ~tag:"badframe" (fun _server sock ->
+      let scrape () = (Client.request_retry ~addr:sock ~op:"metrics" ()).Protocol.out in
+      let contained text = series text "vrpd_requests_contained_total" in
+      let before = contained (scrape ()) in
+      send_malformed_frame sock;
+      send_malformed_frame sock;
+      let status = Client.request_retry ~addr:sock ~op:"status" () in
+      let after = scrape () in
+      Alcotest.(check (option int)) "status counts the bad frames" (Some 2)
+        (data_int "contained" status);
+      Alcotest.(check int) "scrape moved with the bad frames" 2
+        (contained after - before);
+      Alcotest.(check (option int)) "scrape agrees with status"
+        (data_int "contained" status) (Some (contained after));
+      let scrape = after in
+      check_families scrape (registry_families @ gate_families @ daemon_families))
+
+let fleet_bad_frame_status_matches_scrape () =
+  with_fleet ~tag:"badframe"
+    (fun s -> { s with Fleet.size = 1 })
+    (fun fleet ->
+      let front = Filename.concat (Fleet.settings fleet).Fleet.dir "front.sock" in
+      let listen_fd = Server.listen_unix front in
+      let th = Thread.create (fun () -> Fleet.serve fleet listen_fd) () in
+      Fun.protect
+        ~finally:(fun () ->
+          Fleet.stop fleet;
+          Thread.join th;
+          (try Unix.close listen_fd with _ -> ());
+          try Sys.remove front with _ -> ())
+        (fun () ->
+          let scrape () =
+            (Client.request_retry ~addr:front ~op:"metrics" ()).Protocol.out
+          in
+          let contained text = series text "vrpd_fleet_contained_total" in
+          let before = contained (scrape ()) in
+          send_malformed_frame front;
+          send_malformed_frame front;
+          let status = Client.request_retry ~addr:front ~op:"fleet-status" () in
+          let after = scrape () in
+          Alcotest.(check (option int)) "fleet-status counts the bad frames"
+            (Some 2) (data_int "contained" status);
+          Alcotest.(check int) "scrape moved with the bad frames" 2
+            (contained after - before);
+          Alcotest.(check (option int)) "scrape agrees with fleet-status"
+            (data_int "contained" status) (Some (contained after));
+          let scrape = after in
+          check_families scrape
+            (registry_families @ gate_families @ front_door_families)))
+
+(* A stop after shutdown must not write into an fd number the process has
+   since reused: a fleet re-killing an in-process worker whose serve loop
+   had already returned used to drop a stray byte into a fresh socket. *)
+let late_stop_writes_nothing () =
+  let sock = overload_sock "late-stop" in
+  (try Sys.remove sock with _ -> ());
+  let server = Server.create () in
+  let listen_fd = Server.listen_unix sock in
+  let th = Thread.create (fun () -> Server.serve server listen_fd) () in
+  Server.stop server;
+  Thread.join th;
+  Server.shutdown server;
+  (* The pair takes the lowest free fd numbers: the stop pipe's. *)
+  with_socketpair (fun a b ->
+      Server.stop server;
+      List.iter
+        (fun fd ->
+          Unix.set_nonblock fd;
+          match Unix.read fd (Bytes.create 8) 0 8 with
+          | n -> Alcotest.failf "read %d stray byte(s) after a late stop" n
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
+        [ a; b ]);
+  (try Unix.close listen_fd with _ -> ());
+  try Sys.remove sock with _ -> ()
+
 let suite =
   ( "server",
     [
@@ -1368,4 +1547,7 @@ let suite =
       tc "saturation: 16 clients, 2 in-flight" `Quick saturation_16_clients_byte_identical;
       tc "request_retry honors busy" `Quick request_retry_honors_busy;
       tc "session table LRU-bounded" `Quick session_lru_bound;
+      tc "bad frame: status = scrape" `Quick server_bad_frame_status_matches_scrape;
+      tc "fleet bad frame: status = scrape" `Quick fleet_bad_frame_status_matches_scrape;
+      tc "late stop writes no stray byte" `Quick late_stop_writes_nothing;
     ] )
