@@ -200,7 +200,11 @@ let batch_bench ~json () =
     (r, Unix.gettimeofday () -. t0)
   in
   let jobs = 4 in
+  (* The jobs-1 run stays on this domain, so its minor-heap allocation is an
+     exact, repeatable count of the analysis' work. *)
+  let words0 = Gc.minor_words () in
   let reference, seq_s = time (fun () -> Batch.analyze_sources ~jobs:1 sources) in
+  let minor_words = Gc.minor_words () -. words0 in
   let parallel, par_s = time (fun () -> Batch.analyze_sources ~jobs sources) in
   if Batch.render parallel <> Batch.render reference then
     failwith "batch bench: parallel run diverged from the sequential reference";
@@ -242,6 +246,7 @@ let batch_bench ~json () =
       \ \"functions_per_sec\": {\"jobs1\": %.1f, \"jobs%d\": %.1f, \
        \"cache_warm\": %.1f},\n\
       \ \"speedup_vs_jobs1\": %.3f, \"warm_speedup_vs_jobs1\": %.3f,\n\
+      \ \"minor_words\": {\"jobs1\": %.0f},\n\
       \ \"cache\": {\"hits\": %d, \"disk_hits\": %d, \"misses\": %d, \
        \"invalidations\": %d, \"quarantined\": %d, \"hit_rate\": %.3f},\n\
       \ \"supervision\": {\"deadline_ms\": 30000, \"retries_allowed\": 1, \
@@ -251,7 +256,7 @@ let batch_bench ~json () =
       jobs par_s cold_s warm_s sup_s (fns_per_sec seq_s) jobs (fns_per_sec par_s)
       (fns_per_sec warm_s) speedup
       (if warm_s > 0.0 then seq_s /. warm_s else 0.0)
-      c.Summary_cache.hits c.Summary_cache.disk_hits c.Summary_cache.misses
+      minor_words c.Summary_cache.hits c.Summary_cache.disk_hits c.Summary_cache.misses
       c.Summary_cache.invalidations c.Summary_cache.quarantined hit_rate
       sup_counters.Supervisor.deadline_hits sup_counters.Supervisor.retry_count
       sup_counters.Supervisor.gave_up
@@ -271,6 +276,7 @@ let batch_bench ~json () =
       ];
     Printf.printf "  speedup vs jobs=1: %.2fx parallel, %.2fx warm cache\n" speedup
       (if warm_s > 0.0 then seq_s /. warm_s else 0.0);
+    Printf.printf "  jobs=1 minor-heap words: %.0f\n" minor_words;
     Printf.printf "  %s\n" (Summary_cache.counters_line cache);
     Printf.printf "  supervision (30s deadline, 1 retry): %d deadline hit(s), %d retry(ies)\n"
       sup_counters.Supervisor.deadline_hits sup_counters.Supervisor.retry_count;
@@ -726,9 +732,10 @@ let perf () =
    (BENCH_batch.json / BENCH_server.json) against a fresh run: every
    throughput leaf (a number under a "requests_per_sec" or
    "functions_per_sec" key path) may not drop by more than 25%, and every
-   "p99" latency leaf may not grow by more than 25%. The baseline drives
-   the walk, so new metrics in the current run are ignored but a metric
-   that disappeared fails the gate. *)
+   "p99" latency leaf may not grow by more than 25%. A "minor_words" leaf
+   is an exact allocation count, not a timing, so it may grow by 2% only.
+   The baseline drives the walk, so new metrics in the current run are
+   ignored but a metric that disappeared fails the gate. *)
 let gate baseline_file current_file =
   let module Json = Vrp_server.Json in
   let load file =
@@ -753,7 +760,7 @@ let gate baseline_file current_file =
   in
   let failures = ref [] in
   let checked = ref 0 in
-  let check path dir b =
+  let check path dir ~tolerance b =
     let name = String.concat "." (List.rev path) in
     match Option.bind (lookup (List.rev path) cur) num with
     | None -> failures := Printf.sprintf "%s: missing from current run" name :: !failures
@@ -764,8 +771,9 @@ let gate baseline_file current_file =
         | `Higher_better ->
           (* Tiny baselines gate on absolute slack instead: a 25% drop of
              almost nothing is measurement noise, not a regression. *)
-          (c >= b *. 0.75 || b -. c < 0.5, "req/s")
-        | `Lower_better -> (c <= b *. 1.25 || c -. b < 0.25, "p99 ms")
+          (c >= b *. (1.0 -. tolerance) || b -. c < 0.5, "req/s")
+        | `Lower_better -> (c <= b *. (1.0 +. tolerance) || c -. b < 0.25, "p99 ms")
+        | `Exact_count -> (c <= b *. (1.0 +. tolerance), "words")
       in
       Printf.printf "  %-50s baseline %10.2f  current %10.2f  %s%s\n" name b c verdict
         (if ok then "" else "  << REGRESSION");
@@ -782,11 +790,13 @@ let gate baseline_file current_file =
       | None -> ()
       | Some b ->
         if under [ "requests_per_sec"; "functions_per_sec" ] path then
-          check path `Higher_better b
+          check path `Higher_better ~tolerance:0.25 b
         else if List.exists (fun k -> k = "p99" || k = "p99_ms") path then
-          check path `Lower_better b)
+          check path `Lower_better ~tolerance:0.25 b
+        else if under [ "minor_words" ] path then check path `Exact_count ~tolerance:0.02 b)
   in
-  Printf.printf "perf gate: %s vs %s (25%% tolerance)\n" baseline_file current_file;
+  Printf.printf "perf gate: %s vs %s (25%% tolerance on timings, 2%% on minor words)\n"
+    baseline_file current_file;
   walk [] base;
   Printf.printf "  %d metric(s) compared\n" !checked;
   if !checked = 0 then begin

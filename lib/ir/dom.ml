@@ -16,7 +16,7 @@ type t = {
 let reverse_postorder ~nblocks ~succs ~root =
   let visited = Array.make nblocks false in
   let order = ref [] in
-  (* Explicit stack to survive deep CFGs. *)
+  (* Recursive DFS: stack depth grows with the longest DFS path. *)
   let rec visit node =
     if not visited.(node) then begin
       visited.(node) <- true;

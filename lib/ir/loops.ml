@@ -90,7 +90,11 @@ let compute (fn : Ir.fn) : t =
   done;
   { loops = Array.of_list (Array.to_list loops); loop_of_block; back_edges; dom }
 
-let is_back_edge t ~src ~dst = List.mem (src, dst) t.back_edges
+let rec mem_edge src dst = function
+  | [] -> false
+  | (latch, header) :: rest -> (latch = src && header = dst) || mem_edge src dst rest
+
+let is_back_edge t ~src ~dst = mem_edge src dst t.back_edges
 
 let in_loop t bid = t.loop_of_block.(bid) <> None
 

@@ -1,8 +1,9 @@
 (* Process-wide metrics registry with Prometheus text exposition.
 
    Dependency-free (stdlib + unix only) so every layer of the stack can link
-   it: counters, gauges and fixed-bucket histograms registered by name +
-   label set, aggregated on read, rendered in the Prometheus text format.
+   it: counters and fixed-bucket histograms registered by name + label
+   set, aggregated on read, rendered in the Prometheus text format beside
+   caller samples (counters and gauges a stateful instance stores itself).
 
    Concurrency model: the registry itself is a mutex-guarded list (metric
    registration is rare and idempotent), but the cells on the hot path never
@@ -12,7 +13,6 @@
      [Atomic.t] cell (created lazily through [Domain.DLS]); [value] sums the
      shards. Increments are never lost across domains and uncontended
      fetch-and-add on a domain-private cache line is a few nanoseconds.
-   - gauges are a single atomic float.
    - histograms keep one atomic count per bucket plus an atomic float sum;
      observation is a bounded linear scan over the (small) bucket array and
      two atomic updates.
@@ -26,15 +26,13 @@ type counter = {
   c_key : int Atomic.t Domain.DLS.key;
 }
 
-type gauge = { g_value : float Atomic.t }
-
 type histogram = {
   h_bounds : float array; (* strictly increasing upper bounds, no +Inf *)
   h_counts : int Atomic.t array; (* length = Array.length h_bounds + 1 *)
   h_sum : float Atomic.t;
 }
 
-type cell = Counter of counter | Gauge of gauge | Histogram of histogram
+type cell = Counter of counter | Histogram of histogram
 
 type entry = {
   name : string;
@@ -89,7 +87,6 @@ let make_histogram buckets =
 
 let kind_name = function
   | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
 let sort_labels labels = List.sort (fun (a, _) (b, _) -> compare a b) labels
@@ -123,11 +120,6 @@ let counter ?(registry = default) ?(help = "") ?(labels = []) name =
     (fun () -> Counter (make_counter ()))
     (fun e -> match e.cell with Counter c -> c | _ -> wrong_kind name "counter" e)
 
-let gauge ?(registry = default) ?(help = "") ?(labels = []) name =
-  find_or_create registry ~name ~help ~labels
-    (fun () -> Gauge { g_value = Atomic.make 0.0 })
-    (fun e -> match e.cell with Gauge g -> g | _ -> wrong_kind name "gauge" e)
-
 let histogram ?(registry = default) ?(help = "") ?(labels = [])
     ?(buckets = default_buckets) name =
   find_or_create registry ~name ~help ~labels
@@ -139,8 +131,6 @@ let histogram ?(registry = default) ?(help = "") ?(labels = [])
 
 let inc ?(by = 1) c = ignore (Atomic.fetch_and_add (Domain.DLS.get c.c_key) by)
 let value c = locked c.c_lock (fun () -> List.fold_left (fun acc a -> acc + Atomic.get a) 0 !(c.c_cells))
-
-let set g v = Atomic.set g.g_value v
 
 let rec atomic_add_float a v =
   let cur = Atomic.get a in
@@ -169,7 +159,6 @@ let reset ?(registry = default) () =
     (fun e ->
       match e.cell with
       | Counter c -> reset_counter c
-      | Gauge g -> Atomic.set g.g_value 0.0
       | Histogram h ->
           Array.iter (fun a -> Atomic.set a 0) h.h_counts;
           Atomic.set h.h_sum 0.0)
@@ -252,7 +241,6 @@ let read_entry e =
   let reading =
     match e.cell with
     | Counter c -> Count (value c)
-    | Gauge g -> Level (Atomic.get g.g_value)
     | Histogram h ->
         (* Snapshot the per-bucket counts once so bucket/count lines are
            mutually consistent even while writers are active. *)

@@ -1,20 +1,18 @@
 (** Process-wide metrics registry with Prometheus text exposition.
 
     Dependency-free (stdlib + unix) so every layer of the stack can link
-    it: counters, gauges and fixed-bucket histograms registered by name +
-    label set, aggregated on read, rendered in the Prometheus text format
-    (v0.0.4).
+    it: counters and fixed-bucket histograms registered by name + label
+    set, aggregated on read, rendered in the Prometheus text format
+    (v0.0.4) beside caller {!sample}s.
 
     Concurrency model: registration is mutex-guarded (rare, idempotent)
     but the hot-path cells never take a lock — counters are sharded per
     domain ([inc] is a fetch-and-add on a domain-private atomic, [value]
-    sums the shards so increments are never lost across domains), gauges
-    are one atomic float, histograms one atomic count per bucket plus an
-    atomic sum. Reads are racy snapshots by design: they never block
+    sums the shards so increments are never lost across domains),
+    histograms one atomic count per bucket plus an atomic sum. Reads are racy snapshots by design: they never block
     writers and are monotonic per cell, which is all a scraper needs. *)
 
 type counter
-type gauge
 type histogram
 
 (** A metric namespace. Most callers use the implicit process-wide
@@ -32,10 +30,6 @@ val counter :
   ?registry:registry -> ?help:string -> ?labels:(string * string) list ->
   string -> counter
 
-val gauge :
-  ?registry:registry -> ?help:string -> ?labels:(string * string) list ->
-  string -> gauge
-
 (** [buckets] defaults to latency buckets (seconds), log-spaced
     0.5ms..10s.
     @raise Invalid_argument on empty or non-increasing [buckets]. *)
@@ -48,7 +42,6 @@ val inc : ?by:int -> counter -> unit
 (** Sum over the per-domain shards. *)
 val value : counter -> int
 
-val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
 (** [time h f] runs [f], records its wall-clock duration (seconds) in [h]

@@ -78,12 +78,128 @@ let hull (a : Srange.t) (b : Srange.t) : Srange.t option =
     Srange.make ~p:(a.p +. b.p) ~lo ~hi ~stride
   | (None | Some _), _ -> None
 
-(* Cost of a merge: spurious values admitted by the hull (∞ for uncountable
-   merges, which are a last resort). *)
-let merge_cost (a : Srange.t) (b : Srange.t) (merged : Srange.t) =
-  match (Srange.count merged, Srange.count a, Srange.count b) with
-  | Some cm, Some ca, Some cb -> float_of_int (cm - ca - cb)
-  | _ -> infinity
+(* Element count of the progression [lo..hi] by [stride] as
+   [Progression.make] normalises it ([hi >= lo]). *)
+let prog_count lo hi stride = if lo = hi || stride = 0 then 1 else ((hi - lo) / stride) + 1
+
+(* [Srange.count r <> None], without allocating. *)
+let has_count (r : Srange.t) = Sym.same_base r.lo r.hi && r.hi.Sym.off >= r.lo.Sym.off
+
+(* [Sym.cmp a b <> None], without allocating. *)
+let comparable (a : Sym.t) (b : Sym.t) =
+  Sym.same_base a b && not (Sym.too_big a || Sym.too_big b)
+
+(* The cost of merging [a] and [b], stored at [costs.(k)] without building
+   their hull: the spurious values [hull a b] admits, infinity when the
+   hull or either range is uncountable, nan when there is no hull (bounds
+   not comparable, or the hull would be empty). The same value as counting
+   the elements of [hull a b] and of its parts, which is all [compact]'s
+   choice depends on. *)
+let store_cost costs k (a : Srange.t) (b : Srange.t) =
+  let cost =
+    if not (comparable a.lo b.lo && comparable a.hi b.hi) then Float.nan
+    else begin
+      let lo = if a.lo.Sym.off <= b.lo.Sym.off then a.lo else b.lo in
+      let hi = if a.hi.Sym.off >= b.hi.Sym.off then a.hi else b.hi in
+      if not (Sym.same_base lo hi) then infinity
+      else if hi.Sym.off < lo.Sym.off then Float.nan
+      else if not (has_count a && has_count b) then infinity
+      else begin
+        let stride =
+          if lo.Sym.off = hi.Sym.off then 0
+          else
+            max 1
+              (P.gcd_stride (P.gcd_stride a.stride b.stride)
+                 (abs (a.lo.Sym.off - b.lo.Sym.off)))
+        in
+        float_of_int
+          (prog_count lo.Sym.off hi.Sym.off stride
+          - prog_count a.lo.Sym.off a.hi.Sym.off a.stride
+          - prog_count b.lo.Sym.off b.hi.Sym.off b.stride)
+      end
+    end
+  in
+  Float.Array.unsafe_set costs k cost
+
+(* Pair-cost scratch for [compact], one per domain. A compaction takes it
+   out of its cell while it runs, so another thread on the same domain
+   allocates its own instead of sharing it. *)
+let no_costs = Float.Array.create 0
+let cost_cell = Domain.DLS.new_key (fun () -> Atomic.make no_costs)
+
+(* Merge the cheapest mergeable pair until at most [budget] ranges remain;
+   [None] when no pair can be merged first (the give-up point). [rs] is
+   sorted by [Srange.compare_sr] and stays so: [order] lists the live slots
+   of [slots] by position, and a merged range takes the place of the lower
+   of its two parts, inserted before any range that compares equal to it.
+   Each pair is costed once, into the [n * n] matrix [costs] indexed by
+   slot; after a merge only the new range is costed against the survivors.
+   The cheapest cost wins and a tie goes to the first pair [(i, j)] in
+   position order — exactly the choice of rescanning every pair's hull. *)
+let compact budget (rs : Srange.t list) : Srange.t list option =
+  let slots = Array.of_list rs in
+  let n0 = Array.length slots in
+  let cell = Domain.DLS.get cost_cell in
+  let costs =
+    let c = Atomic.exchange cell no_costs in
+    if Float.Array.length c >= n0 * n0 then c else Float.Array.create (n0 * n0)
+  in
+  let set_cost s t =
+    store_cost costs ((s * n0) + t) slots.(s) slots.(t);
+    Float.Array.unsafe_set costs ((t * n0) + s)
+      (Float.Array.unsafe_get costs ((s * n0) + t))
+  in
+  for s = 0 to n0 - 1 do
+    for t = s + 1 to n0 - 1 do
+      set_cost s t
+    done
+  done;
+  let order = Array.init n0 Fun.id in
+  let n = ref n0 in
+  let stuck = ref false in
+  while (not !stuck) && !n > budget do
+    let bi = ref (-1) and bj = ref (-1) and best = ref infinity in
+    for i = 0 to !n - 2 do
+      let row = order.(i) * n0 in
+      for j = i + 1 to !n - 1 do
+        let c = Float.Array.unsafe_get costs (row + order.(j)) in
+        if (not (Float.is_nan c)) && (!bi < 0 || c < !best) then begin
+          bi := i;
+          bj := j;
+          best := c
+        end
+      done
+    done;
+    if !bi < 0 then stuck := true
+    else begin
+      let s = order.(!bi) in
+      let merged = Option.get (hull slots.(s) slots.(order.(!bj))) in
+      (* drop positions bi and bj, then insert the merged range at slot s *)
+      Array.blit order (!bi + 1) order !bi (!bj - !bi - 1);
+      Array.blit order (!bj + 1) order (!bj - 1) (!n - !bj - 1);
+      n := !n - 2;
+      let k = ref 0 in
+      while !k < !n && Srange.compare_sr slots.(order.(!k)) merged < 0 do
+        incr k
+      done;
+      Array.blit order !k order (!k + 1) (!n - !k);
+      order.(!k) <- s;
+      incr n;
+      slots.(s) <- merged;
+      for p = 0 to !n - 1 do
+        if p <> !k then set_cost s order.(p)
+      done
+    end
+  done;
+  Atomic.set cell costs;
+  if !stuck then None
+  else begin
+    let acc = ref [] in
+    for p = !n - 1 downto 0 do
+      acc := slots.(order.(p)) :: !acc
+    done;
+    Some !acc
+  end
 
 (** Normalise a weighted range list: drop empty mass, coalesce identical
     shapes, rescale mass to 1, and compact down to the range budget by
@@ -95,7 +211,8 @@ let normalize (rs : Srange.t list) : t =
      dropping them would silently remove possible values (unsound) and can
      freeze a loop-carried φ at a false fixpoint. They disappear soundly by
      being hulled into neighbours during compaction. *)
-  let rs = List.filter (fun (r : Srange.t) -> r.Srange.p > 0.0) rs in
+  let live (r : Srange.t) = r.Srange.p > 0.0 in
+  let rs = if List.for_all live rs then rs else List.filter live rs in
   if rs = [] then Bottom
   else if List.exists Srange.too_big rs then Bottom
   else begin
@@ -106,40 +223,20 @@ let normalize (rs : Srange.t list) : t =
       | a :: rest -> a :: coalesce rest
       | [] -> []
     in
-    let rs = ref (coalesce rs) in
+    let rs = coalesce rs in
     let budget = !Config.max_ranges in
-    let exception Give_up in
-    (try
-       while List.length !rs > budget do
-         let arr = Array.of_list !rs in
-         let best = ref None in
-         Array.iteri
-           (fun i a ->
-             Array.iteri
-               (fun j b ->
-                 if i < j then
-                   match hull a b with
-                   | None -> ()
-                   | Some merged ->
-                     let cost = merge_cost a b merged in
-                     (match !best with
-                     | Some (_, _, _, c) when c <= cost -> ()
-                     | _ -> best := Some (i, j, merged, cost)))
-               arr)
-           arr;
-         match !best with
-         | None -> raise Give_up
-         | Some (i, j, merged, _) ->
-           let rest = Array.to_list arr |> List.filteri (fun k _ -> k <> i && k <> j) in
-           rs := List.sort Srange.compare_sr (merged :: rest)
-       done;
-       let total = List.fold_left (fun acc (r : Srange.t) -> acc +. r.Srange.p) 0.0 !rs in
-       if total < Config.eps then Bottom
-       else if List.exists Srange.too_big !rs then Bottom
-       else
-         Ranges
-           (List.map (fun (r : Srange.t) -> { r with Srange.p = r.Srange.p /. total }) !rs)
-     with Give_up -> Bottom)
+    (* A hull's bounds are bounds of its parts, so compaction cannot
+       overflow the magnitude checked above. *)
+    let compacted =
+      if List.compare_length_with rs budget <= 0 then Some rs else compact budget rs
+    in
+    match compacted with
+    | None -> Bottom
+    | Some rs ->
+      let total = List.fold_left (fun acc (r : Srange.t) -> acc +. r.Srange.p) 0.0 rs in
+      if total < Config.eps then Bottom
+      else if total = 1.0 then Ranges rs
+      else Ranges (List.map (fun (r : Srange.t) -> { r with Srange.p = r.Srange.p /. total }) rs)
   end
 
 (* --- Pairwise arithmetic --- *)

@@ -130,27 +130,32 @@ type state = {
   hctx : Heuristics.ctx;
   dctx : Derive.ctx;
   vals : Value.t array;
-  uses : (int, (int * site) list) Hashtbl.t;  (** var id -> use sites *)
-  extra_uses : (int, (int * site) list ref) Hashtbl.t;  (** derivation deps *)
-  def_site : (int, int * site) Hashtbl.t;  (** var id -> definition site *)
+  uses : (int * site) list array;  (** var id -> use sites *)
+  extra_uses : (int * site) list array;  (** var id -> derivation deps *)
+  def_block : int array;  (** var id -> defining block; -1 for parameters *)
+  assert_parent : Var.t option array;  (** var id -> parent of an assertion *)
   svisited : bool array;
-  edge_prob : (int * int, float) Hashtbl.t;  (** conditional edge probability *)
-  edge_exec : (int * int, bool) Hashtbl.t;
+  succ_start : int array;
+      (** edge slots: block [b]'s out-edges, in {!Ir.successors} order, are
+          slots [succ_start.(b)] to [succ_start.(b + 1) - 1] *)
+  edge_src : int array;  (** slot -> source block *)
+  edge_dst : int array;  (** slot -> destination block *)
+  edge_prob : float array;  (** slot -> conditional probability; nan = unset *)
+  edge_exec : bool array;  (** slot -> executable *)
+  rpo : int array;  (** reverse postorder of the CFG *)
   bprobs : (int, float) Hashtbl.t;
   bfallback : (int, bool) Hashtbl.t;
   freq : float array;  (** acyclic relative frequencies *)
   mutable freq_dirty : bool;
-  flow_list : (int * int) Queue.t;
+  flow_list : int Queue.t;  (** edge slots *)
   ssa_list : (int * site) Queue.t;  (** target block and site to re-evaluate *)
   eval_counts : int array;  (** per-variable quota accounting *)
   mutable evals : int;
-  mutable derived : (int, Value.t) Hashtbl.t;  (** derived φ variables *)
   uneven : (int, unit) Hashtbl.t;
       (** φs whose derived range hull is sound but unevenly visited
           (geometric inductions): branches on them use heuristics *)
   calls : (int * int, string * Value.t list) Hashtbl.t;
   call_oracle : string -> Value.t list -> Value.t;
-  assert_root : (int, Var.t) Hashtbl.t;  (** memoised assertion-chain roots *)
   report : Diag.report option;  (** structured diagnostics sink, if any *)
   mutable widenings : int;  (** forced widenings this run *)
 }
@@ -160,35 +165,38 @@ let diag st ?block severity kind message =
   | Some r -> Diag.add r ~fn:st.sfn.Ir.fname ?block severity kind message
   | None -> ()
 
-let edge_probability st e = Option.value ~default:0.0 (Hashtbl.find_opt st.edge_prob e)
+let rec find_slot dsts dst k stop =
+  if k >= stop then -1 else if dsts.(k) = dst then k else find_slot dsts dst (k + 1) stop
 
-let edge_executable st e = Option.value ~default:false (Hashtbl.find_opt st.edge_exec e)
+(* Slot of the edge [src -> dst], or -1. A branch with both arms to one
+   block has one edge: both arms map to its first slot. *)
+let slot st src dst = find_slot st.edge_dst dst st.succ_start.(src) st.succ_start.(src + 1)
+
+let prob_at st k = if k < 0 || Float.is_nan st.edge_prob.(k) then 0.0 else st.edge_prob.(k)
+
+let edge_probability st src dst = prob_at st (slot st src dst)
+
+let edge_executable st src dst =
+  let k = slot st src dst in
+  k >= 0 && st.edge_exec.(k)
 
 (* Relative block frequencies ignoring back edges (one RPO pass). Loop back
    edges contribute no mass, so a join's in-edge weights are frequencies
    relative to the enclosing region — exactly what normalised φ merging
    needs (common outer factors cancel). *)
 let recompute_freq st =
-  let fn = st.sfn in
-  let order =
-    Vrp_ir.Dom.reverse_postorder ~nblocks:(Ir.num_blocks fn)
-      ~succs:(fun bid -> Ir.successors (Ir.block fn bid).Ir.term)
-      ~root:Ir.entry_bid
-  in
   Array.fill st.freq 0 (Array.length st.freq) 0.0;
   st.freq.(Ir.entry_bid) <- 1.0;
-  Array.iter
-    (fun bid ->
-      let b = Ir.block fn bid in
-      let f = st.freq.(bid) in
-      if f > 0.0 && st.svisited.(bid) then
-        List.iter
-          (fun succ ->
-            if not (Loops.is_back_edge st.loops ~src:bid ~dst:succ) then
-              st.freq.(succ) <-
-                st.freq.(succ) +. (f *. edge_probability st (bid, succ)))
-          (Ir.successors b.Ir.term))
-    order;
+  for i = 0 to Array.length st.rpo - 1 do
+    let bid = st.rpo.(i) in
+    let f = st.freq.(bid) in
+    if f > 0.0 && st.svisited.(bid) then
+      for k = st.succ_start.(bid) to st.succ_start.(bid + 1) - 1 do
+        let succ = st.edge_dst.(k) in
+        if not (Loops.is_back_edge st.loops ~src:bid ~dst:succ) then
+          st.freq.(succ) <- st.freq.(succ) +. (f *. edge_probability st bid succ)
+      done
+  done;
   st.freq_dirty <- false
 
 (* Assertion-parent chain of a variable, starting with itself: used for the
@@ -198,13 +206,9 @@ let assert_chain st (v : Var.t) : Var.t list =
   let rec go (v : Var.t) acc depth =
     if depth > 64 then List.rev acc
     else begin
-      match Hashtbl.find_opt st.def_site v.Var.id with
-      | Some (bid, Instr idx) -> (
-        match List.nth_opt (Ir.block st.sfn bid).Ir.instrs idx with
-        | Some (Ir.Def (_, Ir.Assertion { parent; _ })) ->
-          go parent (parent :: acc) (depth + 1)
-        | _ -> List.rev acc)
-      | Some (_, Term) | None -> List.rev acc
+      match st.assert_parent.(v.Var.id) with
+      | Some parent -> go parent (parent :: acc) (depth + 1)
+      | None -> List.rev acc
     end
   in
   go v [ v ] 0
@@ -266,23 +270,12 @@ let resolve st (v : Value.t) : Value.t =
   Value.subst ~only_singleton:true v ~lookup:(lookup_value st)
 
 let enqueue_uses st (v : Var.t) =
-  List.iter
-    (fun site -> Queue.add site st.ssa_list)
-    (Option.value ~default:[] (Hashtbl.find_opt st.uses v.Var.id));
-  match Hashtbl.find_opt st.extra_uses v.Var.id with
-  | Some sites -> List.iter (fun site -> Queue.add site st.ssa_list) !sites
-  | None -> ()
+  List.iter (fun site -> Queue.add site st.ssa_list) st.uses.(v.Var.id);
+  List.iter (fun site -> Queue.add site st.ssa_list) st.extra_uses.(v.Var.id)
 
 let register_extra_use st (dep : Var.t) site =
-  let sites =
-    match Hashtbl.find_opt st.extra_uses dep.Var.id with
-    | Some r -> r
-    | None ->
-      let r = ref [] in
-      Hashtbl.replace st.extra_uses dep.Var.id r;
-      r
-  in
-  if not (List.mem site !sites) then sites := site :: !sites
+  let sites = st.extra_uses.(dep.Var.id) in
+  if not (List.mem site sites) then st.extra_uses.(dep.Var.id) <- site :: sites
 
 (* Record a new value for [v]; returns true when it changed. The quota
    counts *changes*: a value that keeps moving is a non-inductive
@@ -297,11 +290,7 @@ let set_value st (v : Var.t) (value : Value.t) : bool =
     let widen reason =
       st.widenings <- st.widenings + 1;
       Vrp_ranges.Counters.record_widening ();
-      let block =
-        match Hashtbl.find_opt st.def_site vid with
-        | Some (bid, _) -> Some bid
-        | None -> None
-      in
+      let block = if st.def_block.(vid) >= 0 then Some st.def_block.(vid) else None in
       diag st ?block Diag.Info Diag.Widened
         (Printf.sprintf "%s widened to ⊥: %s" (Var.to_string v) reason);
       Value.bottom
@@ -340,7 +329,7 @@ let eval_phi st ~bid (v : Var.t) (args : (int * Ir.operand) list) : Value.t =
   (* Paper §3.8 note: merging assertion-derived variables of one parent (or
      a parent with its own assertion children) yields the parent's range. *)
   let exec_args =
-    List.filter (fun (pred, _) -> edge_executable st (pred, bid)) args
+    List.filter (fun (pred, _) -> edge_executable st pred bid) args
   in
   if exec_args = [] then Value.top
   else begin
@@ -361,14 +350,14 @@ let eval_phi st ~bid (v : Var.t) (args : (int * Ir.operand) list) : Value.t =
       let parts =
         List.map
           (fun (pred, op) ->
-            let base = st.freq.(pred) *. edge_probability st (pred, bid) in
+            let base = st.freq.(pred) *. edge_probability st pred bid in
             let w =
               if Loops.is_back_edge st.loops ~src:pred ~dst:bid then begin
                 (* the back edge fires once per iteration: weight it by the
                    trip-count prior relative to the loop-entry mass *)
                 let latch_mass =
                   if base > 0.0 then base
-                  else Float.max st.freq.(pred) (edge_probability st (pred, bid))
+                  else Float.max st.freq.(pred) (edge_probability st pred bid)
                 in
                 st.cfg.trip_prior *. latch_mass
               end
@@ -438,15 +427,12 @@ let try_derive st ~bid ~site (v : Var.t) (args : (int * Ir.operand) list) : bool
       with
       | Some { value; depends; even_distribution } ->
         List.iter (fun dep -> register_extra_use st dep (bid, site)) depends;
-        Hashtbl.replace st.derived v.Var.id value;
         if even_distribution then Hashtbl.remove st.uneven v.Var.id
         else Hashtbl.replace st.uneven v.Var.id ();
         record_eval st;
         ignore (set_value st v value);
         true
-      | None ->
-        Hashtbl.remove st.derived v.Var.id;
-        false
+      | None -> false
     end
   end
 
@@ -470,11 +456,12 @@ let eval_instr st ~bid ~idx (instr : Ir.instr) =
 let eval_term st ~bid (term : Ir.term) =
   match term with
   | Ir.Jump dst ->
-    if edge_probability st (bid, dst) <> 1.0 then begin
-      Hashtbl.replace st.edge_prob (bid, dst) 1.0;
+    let k = slot st bid dst in
+    if prob_at st k <> 1.0 then begin
+      st.edge_prob.(k) <- 1.0;
       st.freq_dirty <- true
     end;
-    if not (edge_executable st (bid, dst)) then Queue.add (bid, dst) st.flow_list
+    if not st.edge_exec.(k) then Queue.add k st.flow_list
   | Ir.Ret _ -> ()
   | Ir.Br { rel; ba; bb; tdst; fdst } ->
     record_eval st;
@@ -505,12 +492,12 @@ let eval_term st ~bid (term : Ir.term) =
     Hashtbl.replace st.bprobs bid prob;
     Hashtbl.replace st.bfallback bid fallback;
     let update dst p =
-      let old = edge_probability st (bid, dst) in
-      let first = not (Hashtbl.mem st.edge_prob (bid, dst)) in
-      if first || Float.abs (old -. p) > Config.eps then begin
-        Hashtbl.replace st.edge_prob (bid, dst) p;
+      let k = slot st bid dst in
+      let old = st.edge_prob.(k) in
+      if Float.is_nan old || Float.abs (old -. p) > Config.eps then begin
+        st.edge_prob.(k) <- p;
         st.freq_dirty <- true;
-        if p > 0.0 then Queue.add (bid, dst) st.flow_list
+        if p > 0.0 then Queue.add k st.flow_list
       end
     in
     update tdst prob;
@@ -533,10 +520,11 @@ let visit_block st bid =
         | Ir.Def _ | Ir.Store _ -> ())
       blk.Ir.instrs
 
-let process_flow_edge st (src, dst) =
-  if edge_probability st (src, dst) > 0.0 && st.svisited.(src) then begin
-    let first = not (edge_executable st (src, dst)) in
-    Hashtbl.replace st.edge_exec (src, dst) true;
+let process_flow_edge st k =
+  let src = st.edge_src.(k) and dst = st.edge_dst.(k) in
+  if prob_at st k > 0.0 && st.svisited.(src) then begin
+    let first = not st.edge_exec.(k) in
+    st.edge_exec.(k) <- true;
     if first || st.svisited.(dst) then visit_block st dst
   end
 
@@ -553,22 +541,42 @@ let process_ssa_site st (bid, site) =
 (* --- Use lists --- *)
 
 let build_uses (fn : Ir.fn) =
-  let uses = Hashtbl.create 64 in
-  let def_site = Hashtbl.create 64 in
-  let add (v : Var.t) site =
-    let cur = Option.value ~default:[] (Hashtbl.find_opt uses v.Var.id) in
-    Hashtbl.replace uses v.Var.id (site :: cur)
-  in
+  let uses = Array.make fn.Ir.nvars [] in
+  let def_block = Array.make fn.Ir.nvars (-1) in
+  let assert_parent = Array.make fn.Ir.nvars None in
+  let add (v : Var.t) site = uses.(v.Var.id) <- site :: uses.(v.Var.id) in
   Ir.iter_blocks fn (fun b ->
       List.iteri
         (fun idx instr ->
-          (match Ir.instr_def instr with
-          | Some v -> Hashtbl.replace def_site v.Var.id (b.Ir.bid, Instr idx)
-          | None -> ());
+          (match instr with
+          | Ir.Def (v, rhs) -> (
+            def_block.(v.Var.id) <- b.Ir.bid;
+            match rhs with
+            | Ir.Assertion { parent; _ } -> assert_parent.(v.Var.id) <- Some parent
+            | _ -> ())
+          | Ir.Store _ -> ());
           List.iter (fun v -> add v (b.Ir.bid, Instr idx)) (Ir.instr_uses instr))
         b.Ir.instrs;
       List.iter (fun v -> add v (b.Ir.bid, Term)) (Ir.term_uses b.Ir.term));
-  (uses, def_site)
+  (uses, def_block, assert_parent)
+
+(* The edge-slot tables of [state]. *)
+let build_edges (fn : Ir.fn) =
+  let nb = Ir.num_blocks fn in
+  let succs b = Ir.successors (Ir.block fn b).Ir.term in
+  let succ_start = Array.make (nb + 1) 0 in
+  for b = 0 to nb - 1 do
+    succ_start.(b + 1) <- succ_start.(b) + List.length (succs b)
+  done;
+  let edge_src = Array.make succ_start.(nb) 0 and edge_dst = Array.make succ_start.(nb) 0 in
+  for b = 0 to nb - 1 do
+    List.iteri
+      (fun i dst ->
+        edge_src.(succ_start.(b) + i) <- b;
+        edge_dst.(succ_start.(b) + i) <- dst)
+      (succs b)
+  done;
+  (succ_start, edge_src, edge_dst)
 
 (* --- Top-level driver --- *)
 
@@ -633,7 +641,9 @@ let analyze_body ?(config = default_config) ?report
     match config.fault with Some (Diag.Fault.Trip_after n) -> Some n | _ -> None
   in
   let loops = Loops.compute fn in
-  let uses, def_site = build_uses fn in
+  let uses, def_block, assert_parent = build_uses fn in
+  let succ_start, edge_src, edge_dst = build_edges fn in
+  let nslots = Array.length edge_dst in
   let st =
     {
       cfg = config;
@@ -643,12 +653,20 @@ let analyze_body ?(config = default_config) ?report
       dctx = Derive.make_ctx fn loops;
       vals = Array.make fn.Ir.nvars Value.top;
       uses;
-      extra_uses = Hashtbl.create 16;
+      extra_uses = Array.make fn.Ir.nvars [];
       uneven = Hashtbl.create 8;
-      def_site;
+      def_block;
+      assert_parent;
       svisited = Array.make (Ir.num_blocks fn) false;
-      edge_prob = Hashtbl.create 64;
-      edge_exec = Hashtbl.create 64;
+      succ_start;
+      edge_src;
+      edge_dst;
+      edge_prob = Array.make nslots Float.nan;
+      edge_exec = Array.make nslots false;
+      rpo =
+        Vrp_ir.Dom.reverse_postorder ~nblocks:(Ir.num_blocks fn)
+          ~succs:(fun bid -> Ir.successors (Ir.block fn bid).Ir.term)
+          ~root:Ir.entry_bid;
       bprobs = Hashtbl.create 16;
       bfallback = Hashtbl.create 16;
       freq = Array.make (Ir.num_blocks fn) 0.0;
@@ -657,10 +675,8 @@ let analyze_body ?(config = default_config) ?report
       ssa_list = Queue.create ();
       eval_counts = Array.make fn.Ir.nvars 0;
       evals = 0;
-      derived = Hashtbl.create 16;
       calls = Hashtbl.create 16;
       call_oracle;
-      assert_root = Hashtbl.create 64;
       report;
       widenings = 0;
     }

@@ -8,6 +8,12 @@ module P = Vrp_ranges.Progression
 
 let compile src = Vrp_core.Pipeline.compile src
 
+(** [data_path rel] resolves [rel] against the test executable's directory,
+    where dune copies the suite's data files ([corpus/], and
+    [../models/default.vrpmodel] from the workspace root), so the suite
+    finds them from any working directory. *)
+let data_path rel = Filename.concat (Filename.dirname Sys.executable_name) rel
+
 (** Compile and return the single function [main]. *)
 let compile_main src =
   let c = compile src in

@@ -49,7 +49,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let committed_model_matches_embedded () =
-  let committed = read_file "../models/default.vrpmodel" in
+  let committed = read_file (Helpers.data_path "../models/default.vrpmodel") in
   Alcotest.(check string) "models/default.vrpmodel = embedded module bytes"
     Vrp_learn.Default_model.data committed;
   let m = Lazy.force Infer.default in

@@ -47,9 +47,9 @@ let exposition_basics () =
   let c = Metrics.counter ~registry:r ~help:"Things counted" "test_things_total" in
   Metrics.inc c;
   Metrics.inc ~by:41 c;
-  let g = Metrics.gauge ~registry:r "test_level" in
-  Metrics.set g 2.0;
-  let text = Metrics.render ~registry:r () in
+  let text =
+    Metrics.render ~registry:r ~samples:[ Metrics.gauge_sample "test_level" 2.0 ] ()
+  in
   Alcotest.(check bool) "HELP line" true
     (contains text "# HELP test_things_total Things counted\n");
   Alcotest.(check bool) "TYPE counter" true
@@ -60,10 +60,7 @@ let exposition_basics () =
   (* Gauges render as floats; integral values get a trailing .0 so the
      sample is unambiguously a float to downstream parsers. *)
   Alcotest.(check (option string)) "gauge sample" (Some "2.0")
-    (series_value text "test_level");
-  Metrics.set g 2.5;
-  Alcotest.(check (option string)) "gauge fraction" (Some "2.5")
-    (series_value (Metrics.render ~registry:r ()) "test_level")
+    (series_value text "test_level")
 
 let label_escaping () =
   let r = Metrics.create () in
@@ -153,7 +150,6 @@ let idempotent_rerender () =
   let r = Metrics.create () in
   Metrics.inc ~by:7 (Metrics.counter ~registry:r "test_again_total");
   Metrics.observe (Metrics.histogram ~registry:r ~buckets:[ 1.0 ] "test_h") 0.5;
-  Metrics.set (Metrics.gauge ~registry:r "test_g") 3.25;
   let a = Metrics.render ~registry:r () in
   let b = Metrics.render ~registry:r () in
   Alcotest.(check string) "render is a pure read" a b
@@ -169,7 +165,7 @@ let find_or_create_identity () =
   Alcotest.(check int) "one cell" 2 (Metrics.value a);
   let other = Metrics.counter ~registry:r ~labels:[ ("k", "w") ] "test_same_total" in
   Alcotest.(check int) "different labels, different cell" 0 (Metrics.value other);
-  (match Metrics.gauge ~registry:r "test_same_total" with
+  (match Metrics.histogram ~registry:r "test_same_total" with
   | _ -> Alcotest.fail "kind mismatch accepted"
   | exception Invalid_argument _ -> ());
   Metrics.reset_counter a;

@@ -356,6 +356,133 @@ let prop_normalize_idempotent =
       | Value.Ranges rs as v -> Value.equal v (Value.normalize rs)
       | Value.Top | Value.Bottom -> true)
 
+(* Reference compaction: [Value.normalize] as it was before pair costs
+   were cached — every merge step rebuilds every pair's hull and rescans.
+   The cached version must choose exactly the same merges. *)
+module Reference_normalize = struct
+  let hull (a : Srange.t) (b : Srange.t) : Srange.t option =
+    match (Sym.min_sym a.lo b.lo, Sym.max_sym a.hi b.hi) with
+    | Some lo, Some hi ->
+      let stride =
+        if Sym.same_base a.lo b.lo then
+          P.gcd_stride (P.gcd_stride a.stride b.stride) (abs (a.lo.Sym.off - b.lo.Sym.off))
+        else 1
+      in
+      let stride = if Sym.equal lo hi then 0 else max stride 1 in
+      Srange.make ~p:(a.p +. b.p) ~lo ~hi ~stride
+    | (None | Some _), _ -> None
+
+  let merge_cost (a : Srange.t) (b : Srange.t) (merged : Srange.t) =
+    match (Srange.count merged, Srange.count a, Srange.count b) with
+    | Some cm, Some ca, Some cb -> float_of_int (cm - ca - cb)
+    | _ -> infinity
+
+  let normalize (rs : Srange.t list) : Value.t =
+    let rs = List.filter (fun (r : Srange.t) -> r.Srange.p > 0.0) rs in
+    if rs = [] then Value.Bottom
+    else if List.exists Srange.too_big rs then Value.Bottom
+    else begin
+      let rs = List.sort Srange.compare_sr rs in
+      let rec coalesce = function
+        | a :: b :: rest when Srange.same_shape a b ->
+          coalesce ({ a with Srange.p = a.Srange.p +. b.Srange.p } :: rest)
+        | a :: rest -> a :: coalesce rest
+        | [] -> []
+      in
+      let rs = ref (coalesce rs) in
+      let budget = !Vrp_ranges.Config.max_ranges in
+      let exception Give_up in
+      try
+        while List.length !rs > budget do
+          let arr = Array.of_list !rs in
+          let best = ref None in
+          Array.iteri
+            (fun i a ->
+              Array.iteri
+                (fun j b ->
+                  if i < j then
+                    match hull a b with
+                    | None -> ()
+                    | Some merged -> (
+                      let cost = merge_cost a b merged in
+                      match !best with
+                      | Some (_, _, _, c) when c <= cost -> ()
+                      | _ -> best := Some (i, j, merged, cost)))
+                arr)
+            arr;
+          match !best with
+          | None -> raise Give_up
+          | Some (i, j, merged, _) ->
+            let rest = Array.to_list arr |> List.filteri (fun k _ -> k <> i && k <> j) in
+            rs := List.sort Srange.compare_sr (merged :: rest)
+        done;
+        let total = List.fold_left (fun acc (r : Srange.t) -> acc +. r.Srange.p) 0.0 !rs in
+        if total < Vrp_ranges.Config.eps then Value.Bottom
+        else if List.exists Srange.too_big !rs then Value.Bottom
+        else
+          Value.Ranges
+            (List.map (fun (r : Srange.t) -> { r with Srange.p = r.Srange.p /. total }) !rs)
+      with Give_up -> Value.Bottom
+    end
+end
+
+(* Range lists that stress the compaction's choice: small integer ranges
+   (many tied costs), repeated shapes, symbolic and mixed bounds over a few
+   variables, and the odd offset past [Sym.limit]. *)
+let gen_compaction_input : (int * Srange.t list) QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let vars =
+    Array.init 3 (fun id -> { Vrp_ir.Var.id; base = "v"; version = id; ty = Ast.Tint })
+  in
+  let gen_sym =
+    frequency
+      [
+        (6, map Sym.num (int_range (-8) 8));
+        (3, map2 (fun v off -> Sym.of_var ~off vars.(v)) (int_range 0 2) (int_range (-4) 4));
+        (1, map Sym.num (int_range (-100_000) 100_000));
+        (1, map (fun d -> Sym.num (Sym.limit + d)) (int_range (-2) 2));
+      ]
+  in
+  let gen_shape =
+    let* lo = gen_sym in
+    let* hi =
+      frequency
+        [
+          (3, map (fun d -> { lo with Sym.off = lo.Sym.off + d }) (int_range 0 6));
+          (1, gen_sym);
+        ]
+    in
+    let* stride = int_range 0 4 in
+    return
+      (match Srange.make ~p:1.0 ~lo ~hi ~stride with
+      | Some r -> r
+      | None -> Srange.singleton ~p:1.0 lo)
+  in
+  let gen_p = oneof [ oneofl [ 0.0; 0.125; 0.25; 0.5; 1.0 ]; float_range 1e-12 1.0 ] in
+  let* budget = int_range 1 8 in
+  let* shapes = list_size (int_range 1 8) gen_shape in
+  let shapes = Array.of_list shapes in
+  let* n = int_range 1 20 in
+  let* rs =
+    list_size (return n)
+      (map2
+         (fun k p -> { shapes.(k mod Array.length shapes) with Srange.p })
+         (int_range 0 (Array.length shapes - 1))
+         gen_p)
+  in
+  return (budget, rs)
+
+let prop_normalize_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"normalize = rescanning reference, budgets 1..8"
+       ~print:(fun (budget, rs) ->
+         Printf.sprintf "budget %d: [%s]" budget
+           (String.concat "; " (List.map Srange.to_string rs)))
+       gen_compaction_input
+       (fun (budget, rs) ->
+         Vrp_ranges.Config.with_max_ranges budget (fun () ->
+             Value.normalize rs = Reference_normalize.normalize rs)))
+
 let prop_narrow_never_gains_mass =
   Helpers.qtest ~count:400 "narrowing keeps unit mass"
     QCheck2.Gen.(triple gen_rel gen_value gen_prog)
@@ -744,6 +871,7 @@ let suite =
       prop_prob_rel_exact;
       prop_prob_lt_approximation;
       prop_normalize_idempotent;
+      prop_normalize_matches_reference;
       prop_narrow_never_gains_mass;
       prop_cmp_value_consistent_with_cmp_prob;
       prop_binop_sound;

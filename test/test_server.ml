@@ -140,11 +140,12 @@ let error_response_shape () =
 (* --- Server harness --- *)
 
 let corpus_sources () =
-  Sys.readdir "corpus" |> Array.to_list
+  let dir = Helpers.data_path "corpus" in
+  Sys.readdir dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".mc")
   |> List.sort compare
   |> List.map (fun f ->
-         let path = Filename.concat "corpus" f in
+         let path = Filename.concat dir f in
          let ic = open_in_bin path in
          Fun.protect
            ~finally:(fun () -> close_in ic)
